@@ -30,8 +30,8 @@ print()
 
 # ---------------------------------------------------------------------------
 # 2. A small run, one request at a time.  Watch the free pool: its word
-#    lengths stay strictly decreasing, which is the shape that makes the
-#    first-fit scan correct.
+#    lengths stay strictly decreasing, which is the shape that lets the
+#    allocator find the first fitting word by binary search.
 # ---------------------------------------------------------------------------
 
 state = new_allocator()

@@ -3,7 +3,8 @@
 Subcommands: allocate, decompose, omega, compose, dominate, test, verify.
 All numeric output is exact ``p/q``; ``--approx`` appends a ``~``-marked
 decimal reading.  Exit codes: 0 success, 2 usage or parse error, 3
-domain-level failure (mass exhaustion, measure violation, broken invariant).
+domain-level failure (mass exhaustion, measure violation, broken invariant,
+a machine table that repeats a program or is not prefix-free).
 Identical inputs always produce identical bytes.
 """
 
@@ -16,7 +17,7 @@ from typing import Sequence
 from . import ce_real, codespace, machines, solovay, verify
 from .bits import format_word
 from .errors import InsufficientMass, OmegalibError
-from .exact import as_fraction, format_rational
+from .exact import Dyadic, as_fraction, format_rational, measure_of_lengths
 
 USAGE_ERROR = 2
 DOMAIN_ERROR = 3
@@ -27,6 +28,16 @@ def _read_lines(path: str) -> list[str]:
         return sys.stdin.read().splitlines()
     with open(path, "r", encoding="ascii") as handle:
         return handle.read().splitlines()
+
+
+def _read_table(path: str, label: str = "") -> machines.MachineTable:
+    """Parse a machine table, refusing repeated or non-prefix-free programs."""
+    table = machines.parse_table_lines(_read_lines(path))
+    try:
+        table.validate()
+    except ValueError as exc:
+        raise OmegalibError(f"{label}{exc}") from None
+    return table
 
 
 def _exact(value, approx: bool) -> str:
@@ -42,8 +53,11 @@ def _cmd_allocate(args) -> int:
     try:
         table = codespace.allocate_all(requests)
     except InsufficientMass as exc:
+        served = measure_of_lengths(n for n, _ in requests[:exc.index])
+        free = format_rational(1 - as_fraction(served))
         print(f"error: kraft violation at request {exc.index + 1} "
-              f"(length {exc.length})", file=sys.stderr)
+              f"(length {exc.length}): free mass {free} < 2^-{exc.length}",
+              file=sys.stderr)
         return DOMAIN_ERROR
     for word, output in table:
         print(f"{word}\t{format_word(output)}")
@@ -61,19 +75,23 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_omega(args) -> int:
-    table = machines.parse_table_lines(_read_lines(args.table))
+    table = _read_table(args.table)
     if args.k is not None:
-        stages = [args.k]
-    else:
-        stages = list(range(1, len(table) + 1))
-    for k in stages:
-        print(f"{k}\t{_exact(machines.omega_approx(table, k), args.approx)}")
+        mass = machines.omega_approx(table, args.k)
+        print(f"{args.k}\t{_exact(mass, args.approx)}")
+        return 0
+    # Running partial sums at the scale of the longest program, one pass.
+    scale = max((len(p) for p in table.domain), default=0)
+    total = 0
+    for k, program in enumerate(table.domain, start=1):
+        total += 1 << (scale - len(program))
+        print(f"{k}\t{_exact(Dyadic(total, scale), args.approx)}")
     return 0
 
 
 def _cmd_compose(args) -> int:
-    outer = machines.parse_table_lines(_read_lines(args.outer))
-    inner = machines.parse_table_lines(_read_lines(args.inner))
+    outer = _read_table(args.outer, "outer table: ")
+    inner = _read_table(args.inner, "inner table: ")
     for line in machines.format_table_lines(machines.compose(outer, inner)):
         print(line)
     return 0

@@ -11,16 +11,22 @@ together: the free pool plus the issued codewords stay prefix-free, together
 they carry measure exactly one, the issued mass matches the running ledger,
 any still-pending request lengths fit inside the free measure, and the pool
 lengths stay strictly decreasing.
+
+The allocator finds the first fitting word by binary search over the pool,
+so it relies on the last invariant (strictly decreasing lengths): a
+hand-built pool that breaks it is not a valid ``allocate`` input, and
+``check_invariants`` reports it as ``free_lengths_distinct`` failing.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .bits import prefix_free, validate_bits
 from .errors import InsufficientMass, TargetTooShort
-from .exact import DYADIC_ZERO, Dyadic, measure_of_lengths, pow2_neg
+from .exact import DYADIC_ZERO, Dyadic, measure_of_lengths
 
 
 def extend_prefix(stem: str, target: int) -> list[str]:
@@ -37,8 +43,8 @@ def extend_prefix(stem: str, target: int) -> list[str]:
     if depth < 0:
         raise TargetTooShort(
             f"target length {target} is below the stem length {len(stem)}")
-    return [stem + "0" * depth] + [stem + "0" * j + "1"
-                                   for j in range(depth - 1, -1, -1)]
+    head = stem + "0" * depth
+    return [head] + [head[:j] + "1" for j in range(target - 1, len(stem) - 1, -1)]
 
 
 @dataclass
@@ -55,24 +61,38 @@ def new_allocator() -> AllocatorState:
     return AllocatorState()
 
 
+def _neg_len(word: str) -> int:
+    return -len(word)
+
+
 def allocate(state: AllocatorState, n: int) -> str:
     """Issue a codeword of length ``n``, consuming ``2**-n`` of free measure.
 
     Picks the longest free word of length <= n (on a strictly sorted pool
     such a word exists exactly when the free measure is at least ``2**-n``),
-    removes it, appends the new codeword to ``state.allocated`` and returns
-    it.  Raises InsufficientMass when no free word fits.
+    replaces it in the pool by the siblings along its split, appends the new
+    codeword to ``state.allocated`` and returns it.  Raises InsufficientMass
+    when no free word fits.
+
+    The pick is a binary search, so it relies on the pool lengths being
+    strictly decreasing (invariant 5); a pool that breaks it is not a valid
+    input.  The mass ledger grows by one aligned integer add.
     """
     if n < 0:
         raise ValueError("codeword lengths are natural numbers")
-    pick = next((i for i, w in enumerate(state.free) if len(w) <= n), None)
-    if pick is None:
+    free = state.free
+    pick = bisect_left(free, -n, key=_neg_len)
+    if pick == len(free):
         raise InsufficientMass(n)
-    stem = state.free.pop(pick)
-    words = extend_prefix(stem, n)
-    state.free[pick:pick] = words[1:]
+    words = extend_prefix(free[pick], n)
+    free[pick:pick + 1] = words[1:]
     state.allocated.append(words[0])
-    state.mass_allocated = state.mass_allocated + pow2_neg(n)
+    mass = state.mass_allocated
+    shift = n - mass.exponent
+    if shift >= 0:
+        state.mass_allocated = Dyadic((mass.mantissa << shift) + 1, n)
+    else:
+        state.mass_allocated = Dyadic(mass.mantissa + (1 << -shift), mass.exponent)
     return words[0]
 
 

@@ -45,6 +45,14 @@ class TestAllocate:
         assert code == 3
         assert "kraft violation at request 3 (length 1)" in err
 
+    def test_kraft_violation_states_free_and_requested_mass(self, tmp_path, capsys):
+        requests = write(tmp_path, "req.tsv", "1\t-\n2\t-\n1\t-\n")
+        code, out, err = run(capsys, ["allocate", requests])
+        assert code == 3
+        assert out == ""
+        assert err == ("error: kraft violation at request 3 (length 1): "
+                       "free mass 1/4 < 2^-1\n")
+
     def test_malformed_line_exits_2(self, tmp_path, capsys):
         requests = write(tmp_path, "req.tsv", "two\t1\n")
         code, _, err = run(capsys, ["allocate", requests])
@@ -102,6 +110,35 @@ class TestOmega:
         assert code == 3
         assert err.startswith("error:")
 
+    def test_all_stages_match_single_stages(self, tmp_path, capsys):
+        table = write(tmp_path, "u.tsv", "110\t1\n0\t-\n1110\t0\n10\t1\n")
+        code, out, _ = run(capsys, ["omega", table, "--approx"])
+        assert code == 0
+        singles = []
+        for k in range(1, 5):
+            _, line, _ = run(capsys, ["omega", table, "--k", str(k), "--approx"])
+            singles.append(line)
+        assert out == "".join(singles)
+        assert out.splitlines()[-1] == "4\t15/16\t~0.937500"
+
+    def test_empty_table_prints_nothing(self, tmp_path, capsys):
+        table = write(tmp_path, "u.tsv", "")
+        assert run(capsys, ["omega", table]) == (0, "", "")
+
+    @pytest.mark.parametrize("k", [None, "1"])
+    def test_repeated_program_exits_3(self, capsys, monkeypatch, k):
+        monkeypatch.setattr("sys.stdin", io.StringIO("0\t1\n0\t0\n1\t1\n"))
+        argv = ["omega", "-"] + (["--k", k] if k else [])
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (3, "")
+        assert err == "error: machine table repeats a program\n"
+
+    def test_non_prefix_free_exits_3(self, tmp_path, capsys):
+        table = write(tmp_path, "u.tsv", "0\t1\n01\t0\n")
+        code, out, err = run(capsys, ["omega", table])
+        assert (code, out) == (3, "")
+        assert err == "error: machine programs are not prefix-free\n"
+
 
 class TestCompose:
     def test_runs_outer_on_inner_outputs(self, tmp_path, capsys):
@@ -110,6 +147,21 @@ class TestCompose:
         code, out, _ = run(capsys, ["compose", outer, inner])
         assert code == 0
         assert out == "00\t1\n01\t1\n100\t0\n"
+
+    def test_repeated_outer_program_exits_3(self, tmp_path, capsys):
+        outer = write(tmp_path, "outer.tsv", "0\t1\n0\t0\n")
+        inner = write(tmp_path, "inner.tsv", "00\t0\n")
+        code, out, err = run(capsys, ["compose", outer, inner])
+        assert (code, out) == (3, "")
+        assert err == "error: outer table: machine table repeats a program\n"
+
+    def test_non_prefix_free_inner_exits_3(self, tmp_path, capsys):
+        outer = write(tmp_path, "outer.tsv", "0\t1\n")
+        inner = write(tmp_path, "inner.tsv", "0\t0\n00\t0\n")
+        code, out, err = run(capsys, ["compose", outer, inner])
+        assert (code, out) == (3, "")
+        assert err == ("error: inner table: machine programs are not "
+                       "prefix-free\n")
 
 
 class TestDominate:

@@ -1,17 +1,19 @@
 """Imperative allocator: splitting, batch allocation, invariant reports."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from omegalib.bits import prefix_free
+from omegalib.bits import prefix_free, validate_bits
 from omegalib.codespace import (AllocatorState, allocate, allocate_all,
                                 check_invariants, extend_prefix,
                                 new_allocator, parse_request_lines,
                                 pool_measure)
 from omegalib.errors import InsufficientMass, TargetTooShort
-from omegalib.exact import Dyadic, measure_of_lengths
+from omegalib.exact import Dyadic, measure_of_lengths, pow2_neg
+from omegalib.verify import enumerate_kraft_multisets, random_kraft_lengths
 
 
 class TestExtendPrefix:
@@ -110,6 +112,14 @@ class TestCheckInvariants:
         assert not report.union_prefix_free
         assert not report.ok
 
+    def test_hand_built_unsorted_pool_fails(self):
+        # Prefix-free with measure one, but not strictly decreasing in length:
+        # not a valid allocate input, and the report says so.
+        state = AllocatorState(free=["1", "01", "00"], allocated=[],
+                               mass_allocated=Dyadic(0))
+        report = check_invariants(state)
+        assert report.failures() == ["free_lengths_distinct"]
+
     def test_wrong_ledger_detected(self):
         state = new_allocator()
         allocate(state, 3)
@@ -137,3 +147,107 @@ class TestRequestParsing:
             parse_request_lines(["-1\t0"])
         with pytest.raises(ValueError):
             parse_request_lines(["2\t012"])
+
+
+# ---------------------------------------------------------------------------
+# Differential check against the linear-scan allocator that the binary-search
+# version replaced.  The two functions below are kept literally as they were.
+# ---------------------------------------------------------------------------
+
+def reference_extend_prefix(stem: str, target: int) -> list[str]:
+    validate_bits(stem)
+    depth = target - len(stem)
+    if depth < 0:
+        raise TargetTooShort(
+            f"target length {target} is below the stem length {len(stem)}")
+    return [stem + "0" * depth] + [stem + "0" * j + "1"
+                                   for j in range(depth - 1, -1, -1)]
+
+
+def reference_allocate(state: AllocatorState, n: int) -> str:
+    if n < 0:
+        raise ValueError("codeword lengths are natural numbers")
+    pick = next((i for i, w in enumerate(state.free) if len(w) <= n), None)
+    if pick is None:
+        raise InsufficientMass(n)
+    stem = state.free.pop(pick)
+    words = reference_extend_prefix(stem, n)
+    state.free[pick:pick] = words[1:]
+    state.allocated.append(words[0])
+    state.mass_allocated = state.mass_allocated + pow2_neg(n)
+    return words[0]
+
+
+def _serve(alloc, state, n):
+    try:
+        return alloc(state, n)
+    except InsufficientMass:
+        return None
+
+
+def assert_same_run(lengths) -> int:
+    """Serve ``lengths`` through both allocators, comparing after every step.
+
+    Returns the number of refusals, so callers can tell the stream reached
+    Kraft exhaustion.
+    """
+    old, new = new_allocator(), new_allocator()
+    refused = 0
+    for i, n in enumerate(lengths):
+        expected = _serve(reference_allocate, old, n)
+        assert _serve(allocate, new, n) == expected, (i, n)
+        assert new.free == old.free, (i, n)
+        # ``allocated`` only grows, so its length and last word pin it down.
+        assert len(new.allocated) == len(old.allocated), (i, n)
+        assert new.allocated[-1:] == old.allocated[-1:], (i, n)
+        assert new.mass_allocated == old.mass_allocated, (i, n)
+        refused += expected is None
+    assert new.allocated == old.allocated
+    return refused
+
+
+def _orderings(multiset, rng):
+    shuffled = list(multiset)
+    rng.shuffle(shuffled)
+    return [list(multiset), list(multiset[::-1]), shuffled]
+
+
+class TestDifferentialAgainstLinearScan:
+    def test_exhaustive_multisets_in_three_orders(self):
+        rng = random.Random(2)
+        for multiset in enumerate_kraft_multisets(6):
+            for order in _orderings(multiset, rng):
+                # A trailing 0 and 6 probe the refusal path and the last gap.
+                assert_same_run(order + [0, 6])
+
+    def test_seeded_random_kraft_sequences(self):
+        rng = random.Random(3)
+        for _ in range(2_000):
+            assert_same_run(random_kraft_lengths(rng, 50, 16))
+
+    def test_mixed_stream_past_exhaustion(self):
+        rng = random.Random(5)
+        lengths = [rng.randint(200, 400) if i % 50 == 49 else rng.randint(12, 28)
+                   for i in range(40_000)]
+        assert assert_same_run(lengths) > 0
+
+    @pytest.mark.parametrize("stem, target", [
+        ("", 0), ("", 1), ("", 7), ("1", 1), ("0110", 4), ("0110", 9),
+        ("1" * 40, 41), ("01", 300),
+    ])
+    def test_extend_prefix_matches_reference(self, stem, target):
+        assert extend_prefix(stem, target) == reference_extend_prefix(stem, target)
+
+    @pytest.mark.parametrize("stem, target", [("", -1), ("01", 1), ("0110", 0)])
+    def test_target_too_short_on_both(self, stem, target):
+        with pytest.raises(TargetTooShort):
+            reference_extend_prefix(stem, target)
+        with pytest.raises(TargetTooShort):
+            extend_prefix(stem, target)
+
+    @pytest.mark.parametrize("stem", ["2", "01a", " 0", "0 1"])
+    def test_non_binary_stem_rejected_by_both(self, stem):
+        with pytest.raises(ValueError):
+            reference_extend_prefix(stem, 6)
+        with pytest.raises(ValueError):
+            extend_prefix(stem, 6)
