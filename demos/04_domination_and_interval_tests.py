@@ -20,8 +20,7 @@ from fractions import Fraction
 from omegalib.ce_real import RationalSeq
 from omegalib.machines import MachineTable
 from omegalib.solovay import (build_test, check_domination, extract_witness,
-                              format_stage_lines, omega_rep_compose,
-                              representation_partial)
+                              omega_rep_compose, representation_partial)
 
 A = [Fraction(1, 4), Fraction(9, 32), Fraction(1, 2), Fraction(3, 4)]
 B = [Fraction(1, 8), Fraction(1, 4), Fraction(3, 8), Fraction(7, 16)]
@@ -32,8 +31,8 @@ B = [Fraction(1, 8), Fraction(1, 4), Fraction(3, 8), Fraction(7, 16)]
 # ---------------------------------------------------------------------------
 
 stage = build_test(RationalSeq(A), RationalSeq(B), level=1, depth=4)
-for line in format_stage_lines(stage):
-    print(line.replace("\t", "  "))
+for i, iv in enumerate(stage.intervals, start=1):
+    print(f"{i}  -" if iv is None else f"{i}  {iv.lo}  {iv.hi}")
 print("total measure:", stage.total_measure(), "(within 1/2)")
 print()
 

@@ -7,20 +7,17 @@ from .errors import (InsufficientMass, InvalidSequence, LengthMismatch,
                      MeasureViolation, NonPositiveInput, OmegalibError,
                      SequenceExhausted, StageOutOfRange, TargetTooShort,
                      UnderlongString)
-from .exact import (Dyadic, Interval, Rational, as_fraction, ceil_neg_log2,
-                    format_rational, interval_contains, interval_disjoint,
-                    measure_of_lengths, parse_rational, pow2_neg)
+from .exact import (Dyadic, Interval, as_fraction, ceil_neg_log2,
+                    format_rational, measure_of_lengths, parse_rational,
+                    pow2_neg)
 from .codespace import (AllocatorState, InvariantReport, allocate,
                         allocate_all, check_invariants, extend_prefix,
-                        new_allocator, pool_measure)
-from .kc_oracle import (extend_ref, extends_ref, incomparable_ref, kc_ref,
-                        kcloop_ref, kcstep_ref, lengths_match_ref,
-                        prefixes_ref, prefixfree_ref, strictlysorted_ref)
+                        new_allocator)
 from .ce_real import (DyadicDecomposition, RationalSeq, dyadic_decompose,
                       to_machine)
-from .machines import (MachineTable, OmegaApprox, chaitin_transform,
-                       chaitin_transform_table, check_prefix_free,
-                       combine_universal, complexity, compose, omega_approx)
+from .machines import (MachineTable, chaitin_transform,
+                       chaitin_transform_table, combine_universal, complexity,
+                       compose, omega_approx)
 from .solovay import (DominationWitness, TestStage, build_test,
                       check_domination, extract_witness, interleave_requests,
                       omega_rep_compose, representation_partial)
@@ -33,19 +30,15 @@ __all__ = [
     "AllocatorState", "Dyadic", "DominationWitness", "DyadicDecomposition",
     "InsufficientMass", "Interval", "InvalidSequence", "InvariantReport",
     "LengthMismatch", "MachineTable", "MeasureViolation", "NonPositiveInput",
-    "OmegaApprox", "OmegalibError", "PrefixSetStage", "Rational",
-    "RationalSeq", "SequenceExhausted", "StageOutOfRange", "TargetTooShort",
-    "TestStage", "UnderlongString", "allocate", "allocate_all",
-    "antichain_measure", "as_fraction", "build_test", "ceil_neg_log2",
-    "chaitin_transform", "chaitin_transform_table", "check_domination",
-    "check_invariants", "check_prefix_free", "combine_universal",
-    "complexity", "complexity_test_stage", "compose", "compression_requests",
-    "dyadic_decompose", "extend_prefix", "extend_ref", "extends_ref",
-    "extract_witness", "format_rational", "incomparable_ref",
-    "interleave_requests", "interval_contains", "interval_disjoint",
-    "kc_ref", "kcloop_ref", "kcstep_ref", "lengths_match_ref",
+    "OmegalibError", "PrefixSetStage", "RationalSeq", "SequenceExhausted",
+    "StageOutOfRange", "TargetTooShort", "TestStage", "UnderlongString",
+    "allocate", "allocate_all", "antichain_measure", "as_fraction",
+    "build_test", "ceil_neg_log2", "chaitin_transform",
+    "chaitin_transform_table", "check_domination", "check_invariants",
+    "combine_universal", "complexity", "complexity_test_stage", "compose",
+    "compression_requests", "dyadic_decompose", "extend_prefix",
+    "extract_witness", "format_rational", "interleave_requests",
     "measure_of_lengths", "new_allocator", "omega_approx",
-    "omega_rep_compose", "parse_rational", "pool_measure", "pow2_neg",
-    "prefixes_ref", "prefixfree_ref", "representation_partial",
-    "stage_membership", "strictlysorted_ref", "to_machine",
+    "omega_rep_compose", "parse_rational", "pow2_neg",
+    "representation_partial", "stage_membership", "to_machine",
 ]

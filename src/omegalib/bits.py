@@ -20,16 +20,6 @@ def validate_bits(word: str) -> str:
     return word
 
 
-def is_prefix(p: str, s: str) -> bool:
-    """True when ``p`` is a (not necessarily proper) prefix of ``s``."""
-    return s.startswith(p)
-
-
-def comparable(x: str, y: str) -> bool:
-    """True when either word is a prefix of the other."""
-    return x.startswith(y) or y.startswith(x)
-
-
 def prefix_free(words: Iterable[str]) -> bool:
     """True when no listed word is a prefix of another listed word.
 

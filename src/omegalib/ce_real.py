@@ -32,7 +32,7 @@ class RationalSeq:
     its first offending term with InvalidSequence.
     """
 
-    def __init__(self, source: Iterable[Fraction | int | str]):
+    def __init__(self, source: Iterable[Fraction | int | Dyadic]):
         self._iter: Iterator = iter(source)
         self._cache: list[Fraction] = []
 
@@ -47,7 +47,7 @@ class RationalSeq:
                 raise SequenceExhausted(
                     f"sequence ended after {len(self._cache)} terms, "
                     f"{k} were requested") from None
-            term = Fraction(raw)
+            term = as_fraction(raw)
             if not 0 < term < 1:
                 raise InvalidSequence(f"term {term} is outside (0, 1)")
             if self._cache and term <= self._cache[-1]:
@@ -55,18 +55,6 @@ class RationalSeq:
                     f"term {term} does not increase past {self._cache[-1]}")
             self._cache.append(term)
         return tuple(self._cache[:k])
-
-
-def parse_rational_terms(lines: Iterable[str]) -> list[Fraction]:
-    """Raw ``p/q`` lines as fractions, skipping blanks; no monotonicity check."""
-    from .exact import parse_rational
-
-    return [parse_rational(line) for line in lines if line.strip()]
-
-
-def parse_sequence_lines(lines: Iterable[str]) -> RationalSeq:
-    """Build a checked increasing sequence from ``p/q`` lines."""
-    return RationalSeq(parse_rational_terms(lines))
 
 
 @dataclass(frozen=True)

@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import argparse
 import sys
+from fractions import Fraction
 from typing import Sequence
 
 from . import ce_real, codespace, machines, solovay, verify
 from .bits import format_word
 from .errors import InsufficientMass, OmegalibError
-from .exact import Dyadic, as_fraction, format_rational, measure_of_lengths
+from .exact import (Dyadic, as_fraction, format_rational, measure_of_lengths,
+                    parse_rational)
 
 USAGE_ERROR = 2
 DOMAIN_ERROR = 3
@@ -38,6 +40,11 @@ def _read_table(path: str, label: str = "") -> machines.MachineTable:
     except ValueError as exc:
         raise OmegalibError(f"{label}{exc}") from None
     return table
+
+
+def _read_rationals(path: str) -> list[Fraction]:
+    """The ``p/q`` lines of a file as fractions, skipping blank lines."""
+    return [parse_rational(line) for line in _read_lines(path) if line.strip()]
 
 
 def _exact(value, approx: bool) -> str:
@@ -61,13 +68,13 @@ def _cmd_allocate(args) -> int:
         return DOMAIN_ERROR
     for word, output in table:
         print(f"{word}\t{format_word(output)}")
-    mass = codespace.pool_measure(word for word, _ in table)
+    mass = measure_of_lengths(len(word) for word, _ in table)
     print(f"mu\t{_exact(mass, args.approx)}")
     return 0
 
 
 def _cmd_decompose(args) -> int:
-    seq = ce_real.parse_sequence_lines(_read_lines(args.sequence))
+    seq = ce_real.RationalSeq(_read_rationals(args.sequence))
     decomposition = ce_real.dyadic_decompose(seq, args.k)
     for n, r in zip(decomposition.lengths, decomposition.partials):
         print(f"{n}\t{_exact(r, args.approx)}")
@@ -98,15 +105,15 @@ def _cmd_compose(args) -> int:
 
 
 def _cmd_dominate(args) -> int:
-    a_terms = ce_real.parse_rational_terms(_read_lines(args.a))
-    b_terms = ce_real.parse_rational_terms(_read_lines(args.b))
+    a_terms = _read_rationals(args.a)
+    b_terms = _read_rationals(args.b)
     if args.m is not None:
         depth = args.depth if args.depth is not None else min(len(a_terms),
                                                               len(b_terms))
         witness = solovay.extract_witness(ce_real.RationalSeq(a_terms),
                                           ce_real.RationalSeq(b_terms),
                                           args.m, depth)
-        print(solovay.format_witness_line(witness))
+        print(f"{witness.exponent}\t" + ",".join(map(str, witness.stage_indices)))
         return 0
     if args.c is None:
         print("error: dominate needs --c (check) or --m (witness)",
@@ -118,11 +125,12 @@ def _cmd_dominate(args) -> int:
 
 
 def _cmd_test(args) -> int:
-    a = ce_real.parse_sequence_lines(_read_lines(args.a))
-    b = ce_real.parse_sequence_lines(_read_lines(args.b))
+    a = ce_real.RationalSeq(_read_rationals(args.a))
+    b = ce_real.RationalSeq(_read_rationals(args.b))
     stage = solovay.build_test(a, b, args.n, args.depth)
-    for line in solovay.format_stage_lines(stage):
-        print(line)
+    for i, iv in enumerate(stage.intervals, start=1):
+        print(f"{i}\t-" if iv is None else
+              f"{i}\t{format_rational(iv.lo)}\t{format_rational(iv.hi)}")
     return 0
 
 

@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 
 from .bits import prefix_free, validate_bits
 from .errors import InsufficientMass, TargetTooShort
-from .exact import DYADIC_ZERO, Dyadic, measure_of_lengths
+from .exact import DYADIC_ZERO, Dyadic
 
 
 def extend_prefix(stem: str, target: int) -> list[str]:
@@ -171,11 +171,6 @@ def check_invariants(state: AllocatorState,
         free_lengths_distinct=all(len(free[i]) > len(free[i + 1])
                                   for i in range(len(free) - 1)),
     )
-
-
-def pool_measure(words: Iterable[str]) -> Dyadic:
-    """Exact measure of the union of the words' cylinders, assuming prefix-freeness."""
-    return measure_of_lengths(len(w) for w in words)
 
 
 def parse_request_lines(lines: Iterable[str]) -> list[tuple[int, str]]:

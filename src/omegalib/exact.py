@@ -9,16 +9,13 @@ convenience in the command-line layer.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
 from typing import Iterable, Union
 
 from .errors import NonPositiveInput
-
-#: General rationals are stdlib fractions, which already maintain the
-#: reduced-form invariant (gcd(p, q) == 1, q > 0).
-Rational = Fraction
 
 RationalLike = Union[Fraction, int, "Dyadic"]
 
@@ -69,14 +66,6 @@ class Dyadic:
             return Fraction(self.mantissa, 1 << self.exponent)
         return Fraction(self.mantissa << -self.exponent)
 
-    @classmethod
-    def from_string(cls, text: str) -> "Dyadic":
-        """Parse the ``m/2^e`` form produced by ``str``."""
-        head, sep, tail = text.partition("/2^")
-        if not sep:
-            raise ValueError(f"not a dyadic literal: {text!r}")
-        return cls(int(head), int(tail))
-
     # -- arithmetic ----------------------------------------------------
 
     def _aligned(self, other: "Dyadic") -> tuple[int, int, int]:
@@ -97,18 +86,6 @@ class Dyadic:
         if a < b:
             raise ValueError("dyadic difference is negative")
         return Dyadic(a - b, e)
-
-    def __mul__(self, other):
-        if isinstance(other, Dyadic):
-            return Dyadic(self.mantissa * other.mantissa,
-                          self.exponent + other.exponent)
-        if isinstance(other, int):
-            if other < 0:
-                raise ValueError("dyadic values are non-negative")
-            return Dyadic(self.mantissa * other, self.exponent)
-        return NotImplemented
-
-    __rmul__ = __mul__
 
     # -- comparisons -----------------------------------------------------
 
@@ -141,14 +118,15 @@ class Dyadic:
 
 
 DYADIC_ZERO = Dyadic(0)
-DYADIC_ONE = Dyadic(1)
 
 
 def as_fraction(value: RationalLike) -> Fraction:
-    """Coerce an int, Fraction or Dyadic to an exact Fraction."""
+    """Coerce an int, Fraction or Dyadic to an exact Fraction; TypeError else."""
     if isinstance(value, Dyadic):
         return value.as_fraction()
-    return Fraction(value)
+    if isinstance(value, (int, Fraction)):
+        return Fraction(value)
+    raise TypeError(f"not an int, Fraction or Dyadic: {value!r}")
 
 
 def pow2_neg(n: int) -> Dyadic:
@@ -216,20 +194,25 @@ class Interval:
         return self.hi <= other.lo or other.hi <= self.lo
 
 
-def interval_contains(interval: Interval, q: RationalLike) -> bool:
-    return interval.contains(q)
-
-
-def interval_disjoint(a: Interval, b: Interval) -> bool:
-    return a.disjoint_from(b)
-
-
 def format_rational(q: RationalLike) -> str:
     """Serialize a rational as ``p/q`` (always with an explicit denominator)."""
     frac = as_fraction(q)
     return f"{frac.numerator}/{frac.denominator}"
 
 
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse ``p/q`` (or a bare integer ``p``) into an exact Fraction."""
-    return Fraction(text.strip())
+    """Parse an optionally signed integer ``p``, or ``p/q`` with ``q > 0``.
+
+    Anything else (decimals, exponents, a zero denominator) raises ValueError.
+    """
+    text = text.strip()
+    match = _RATIONAL.fullmatch(text)
+    if match is None:
+        raise ValueError(f"not a rational 'p/q' or integer: {text!r}")
+    p, q = match.groups()
+    if q is not None and int(q) == 0:
+        raise ValueError(f"zero denominator in {text!r}")
+    return Fraction(int(p), int(q or 1))

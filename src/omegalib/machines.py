@@ -23,9 +23,9 @@ from .exact import DYADIC_ZERO, Dyadic, measure_of_lengths, pow2_neg
 class MachineTable:
     """Immutable ``(program, output)`` enumeration of a finite machine.
 
-    Construction validates the alphabet only; prefix-freeness and program
-    uniqueness are queried with ``check_prefix_free`` / ``validate`` so that
-    defective tables can be represented and then rejected.
+    Construction validates the alphabet only; program uniqueness and
+    prefix-freeness are checked by ``validate`` so that defective tables can
+    be represented and then rejected.
     """
 
     entries: tuple[tuple[str, str], ...]
@@ -41,10 +41,6 @@ class MachineTable:
     @property
     def domain(self) -> tuple[str, ...]:
         return tuple(p for p, _ in self.entries)
-
-    @property
-    def outputs(self) -> tuple[str, ...]:
-        return tuple(y for _, y in self.entries)
 
     def lookup(self, program: str) -> str | None:
         """Output of the first entry for ``program``, or None if absent."""
@@ -62,43 +58,11 @@ class MachineTable:
             raise ValueError("machine programs are not prefix-free")
 
 
-def check_prefix_free(table: MachineTable) -> bool:
-    """True iff the table's programs are pairwise prefix-incomparable."""
-    return prefix_free(table.domain)
-
-
 def omega_approx(table: MachineTable, k: int) -> Dyadic:
     """Halting-mass partial sum over the first ``k`` entries."""
     if not 0 <= k <= len(table):
         raise StageOutOfRange(f"stage {k} outside 0..{len(table)}")
     return measure_of_lengths(len(p) for p, _ in table.entries[:k])
-
-
-@dataclass(frozen=True)
-class OmegaApprox:
-    """All halting-mass partial sums of a table; ``partials[k]`` is stage k.
-
-    Stage 0 is zero; the sums must strictly increase and stay at most one,
-    which holds for every prefix-free table.
-    """
-
-    partials: tuple[Dyadic, ...]
-
-    def __post_init__(self):
-        for i in range(len(self.partials) - 1):
-            if not self.partials[i] < self.partials[i + 1]:
-                raise ValueError("partial sums must strictly increase")
-        if self.partials and self.partials[-1] > 1:
-            raise ValueError("partial sums exceed one unit of mass")
-
-    @classmethod
-    def from_table(cls, table: MachineTable) -> "OmegaApprox":
-        total = DYADIC_ZERO
-        partials = [total]
-        for p, _ in table.entries:
-            total = total + pow2_neg(len(p))
-            partials.append(total)
-        return cls(tuple(partials))
 
 
 def complexity(table: MachineTable, target: str, k: int | None = None) -> int | None:

@@ -20,7 +20,7 @@ from math import isqrt
 from .bits import length_lex_key, prefix_free, prune_to_minimal
 from .errors import MeasureViolation, StageOutOfRange, UnderlongString
 from .exact import Dyadic, measure_of_lengths, pow2_neg
-from .machines import MachineTable, complexity
+from .machines import MachineTable
 
 
 @dataclass(frozen=True)
@@ -67,13 +67,11 @@ def complexity_test_stage(table: MachineTable, margin: int, k: int) -> set[str]:
     """
     if not 0 <= k <= len(table):
         raise StageOutOfRange(f"stage {k} outside 0..{len(table)}")
-    outputs = {y for _, y in table.entries[:k]}
-    qualifying = set()
-    for y in outputs:
-        h = complexity(table, y, k)
-        if h is not None and h < len(y) - margin:
-            qualifying.add(y)
-    return qualifying
+    shortest: dict[str, int] = {}
+    for p, y in table.entries[:k]:
+        if y not in shortest or len(p) < shortest[y]:
+            shortest[y] = len(p)
+    return {y for y, h in shortest.items() if h < len(y) - margin}
 
 
 def _stage_root(level: int) -> int:
@@ -119,20 +117,3 @@ def stage_membership(alpha_bits: str, stage: PrefixSetStage) -> bool:
     under extending ``alpha_bits``.
     """
     return any(alpha_bits.startswith(w) for w in stage.words)
-
-
-def parse_stage_lines(lines: Iterable[str]) -> PrefixSetStage:
-    """Parse a stage file: a ``level`` header line, then one word per line."""
-    from .bits import parse_word
-
-    meaningful = [line.strip() for line in lines if line.strip()]
-    if not meaningful:
-        raise ValueError("stage file is empty")
-    level = int(meaningful[0])
-    return PrefixSetStage(level, tuple(parse_word(tok) for tok in meaningful[1:]))
-
-
-def format_stage_lines(stage: PrefixSetStage) -> list[str]:
-    from .bits import format_word
-
-    return [str(stage.level), *(format_word(w) for w in stage.words)]

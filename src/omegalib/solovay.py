@@ -26,7 +26,7 @@ from typing import Sequence
 from .ce_real import RationalSeq
 from .codespace import allocate_all
 from .errors import LengthMismatch, SequenceExhausted, StageOutOfRange
-from .exact import (Dyadic, Interval, as_fraction, format_rational, pow2_neg)
+from .exact import Dyadic, Interval, as_fraction, pow2_neg
 from .machines import MachineTable, compose, omega_approx
 
 
@@ -58,15 +58,17 @@ def build_test(a: RationalSeq, b: RationalSeq, level: int, depth: int) -> TestSt
     b_terms = (Fraction(0),) + b.prefix(depth)
     shrink = pow2_neg(level).as_fraction()
     intervals: list[Interval | None] = []
-    opened: list[Interval] = []
+    # Every opened interval starts at an earlier, smaller term of ``a``, so
+    # ``a_i`` lies in one exactly when it is below the largest right end.
+    reach = Fraction(0)
     last = 0
     for i in range(1, depth + 1):
-        if any(iv.contains(a_terms[i]) for iv in opened):
+        if a_terms[i] < reach:
             intervals.append(None)
             continue
         iv = Interval(a_terms[i], a_terms[i] + shrink * (b_terms[i] - b_terms[last]))
         intervals.append(iv)
-        opened.append(iv)
+        reach = iv.hi  # iv.hi > a_i >= reach: the newest end is the largest
         last = i
     return TestStage(level=level, intervals=tuple(intervals))
 
@@ -172,19 +174,3 @@ def omega_rep_compose(machine: MachineTable, c: int, gamma_lengths: Sequence[int
     inner = MachineTable(tuple(allocate_all(requests)))
     composed = compose(machine, inner)
     return composed, composed.domain_measure()
-
-
-def format_stage_lines(stage: TestStage) -> list[str]:
-    """Dump ``i<TAB>lo<TAB>hi`` lines; empty stages as ``i<TAB>-``."""
-    lines = []
-    for i, iv in enumerate(stage.intervals, start=1):
-        if iv is None:
-            lines.append(f"{i}\t-")
-        else:
-            lines.append(f"{i}\t{format_rational(iv.lo)}\t{format_rational(iv.hi)}")
-    return lines
-
-
-def format_witness_line(witness: DominationWitness) -> str:
-    """Dump ``m<TAB>j1,j2,...`` — the level and its opened stages."""
-    return f"{witness.exponent}\t" + ",".join(map(str, witness.stage_indices))

@@ -16,8 +16,9 @@ from math import isqrt
 from typing import Callable, Iterator, Sequence
 
 from . import ce_real, codespace, kc_oracle, machines, mltest, solovay
+from .bits import prefix_free
 from .errors import OmegalibError
-from .exact import Dyadic, as_fraction, measure_of_lengths, pow2_neg
+from .exact import measure_of_lengths, pow2_neg
 
 DEFAULT_SEED = 1729
 
@@ -41,12 +42,6 @@ def random_kraft_lengths(rng: random.Random, max_requests: int,
         lengths.append(n)
         budget -= 1 << (max_len - n)
     return lengths
-
-
-def random_requests(rng: random.Random, max_requests: int,
-                    max_len: int) -> list[tuple[int, str]]:
-    return [(n, random_word(rng, 4)) for n in
-            random_kraft_lengths(rng, max_requests, max_len)]
 
 
 def random_word(rng: random.Random, max_len: int) -> str:
@@ -152,7 +147,7 @@ def check_differential(lengths: Sequence[int]) -> list[str]:
         failures.append(f"oracle lengths differ for {lengths}")
     if state.mass_allocated != measure_of_lengths(lengths):
         failures.append(f"mass ledger off for {lengths}")
-    if codespace.pool_measure(words) != measure_of_lengths(lengths):
+    if measure_of_lengths(len(w) for w in words) != measure_of_lengths(lengths):
         failures.append(f"codeword mass off for {lengths}")
     return failures
 
@@ -207,7 +202,7 @@ def check_decomposition(terms: Sequence[Fraction]) -> list[str]:
     table = ce_real.to_machine(ce_real.RationalSeq(terms), k)
     if table.domain_measure() != decomposition.partials[-1]:
         failures.append("machine domain measure differs from the final partial sum")
-    if not machines.check_prefix_free(table):
+    if not prefix_free(table.domain):
         failures.append("machine domain is not prefix-free")
     return failures
 
@@ -314,7 +309,7 @@ def check_combined_overhead(machine_list: Sequence[machines.MachineTable]) -> li
     """Header overhead of the merged machine is exactly ``i + 1`` bits."""
     failures = []
     combined = machines.combine_universal(machine_list)
-    if not machines.check_prefix_free(combined):
+    if not prefix_free(combined.domain):
         failures.append("combined table is not prefix-free")
     for i, machine in enumerate(machine_list, start=1):
         for _, y in machine.entries:

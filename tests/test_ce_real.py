@@ -4,12 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+from omegalib.bits import prefix_free
 from omegalib.ce_real import (DyadicDecomposition, RationalSeq,
-                              dyadic_decompose, parse_sequence_lines,
-                              to_machine)
+                              dyadic_decompose, to_machine)
 from omegalib.errors import InvalidSequence, SequenceExhausted
-from omegalib.exact import Dyadic
-from omegalib.machines import check_prefix_free
+from omegalib.exact import Dyadic, parse_rational
 
 
 class TestRationalSeq:
@@ -34,8 +33,12 @@ class TestRationalSeq:
             seq.prefix(2)
 
     def test_parse_lines(self):
-        seq = parse_sequence_lines(["1/3", "", "1/2"])
+        seq = RationalSeq(parse_rational(line) for line in ["1/3", " 1/2 "])
         assert seq.prefix(2) == (Fraction(1, 3), Fraction(1, 2))
+
+    def test_text_terms_refused(self):
+        with pytest.raises(TypeError):
+            RationalSeq(["1e-9", "1/2"]).prefix(1)
 
 
 class TestDecompose:
@@ -82,7 +85,7 @@ class TestToMachine:
     def test_measure_equals_final_partial(self):
         table = to_machine(RationalSeq([Fraction(1, 2), Fraction(3, 4)]), 2)
         assert table.domain == ("0", "10")
-        assert table.outputs == ("", "")
+        assert [y for _, y in table.entries] == ["", ""]
         assert table.domain_measure() == Fraction(3, 4)
 
     def test_equal_step_lengths(self):
@@ -97,4 +100,4 @@ class TestToMachine:
     def test_domain_always_prefix_free(self):
         terms = [Fraction(i, 101) for i in (3, 10, 31, 41, 59, 97)]
         table = to_machine(RationalSeq(terms), len(terms))
-        assert check_prefix_free(table)
+        assert prefix_free(table.domain)

@@ -1,8 +1,10 @@
 """Command-line interface: output bytes, exit codes, stdin handling."""
 
+import contextlib
 import io
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from omegalib.cli import main
 
@@ -203,6 +205,99 @@ class TestIntervalTest:
                                     "--depth", "3"])
         assert code == 0
         assert out == "1\t1/4\t5/16\n2\t-\n3\t1/2\t5/8\n"
+
+
+class TestRationalGrammar:
+    MESSAGES = {"1/0": "zero denominator in '1/0'",
+                "1e-9": "not a rational 'p/q' or integer: '1e-9'",
+                "0.5": "not a rational 'p/q' or integer: '0.5'"}
+
+    @pytest.mark.parametrize("line", ["1/0", "1e-9", "0.5"])
+    @pytest.mark.parametrize("command", ["decompose", "test", "dominate"])
+    def test_rejected_with_exit_2(self, tmp_path, capsys, command, line):
+        bad = write(tmp_path, "bad.txt", f"1/4\n{line}\n")
+        good = write(tmp_path, "good.txt", "1/8\n1/4\n")
+        argv = {"decompose": ["decompose", bad, "--k", "2"],
+                "test": ["test", bad, good, "--n", "1", "--depth", "2"],
+                "dominate": ["dominate", bad, good, "--c", "2"]}[command]
+        assert run(capsys, argv) == (2, "", f"error: {self.MESSAGES[line]}\n")
+
+    @pytest.mark.parametrize("command", ["decompose", "test", "dominate"])
+    def test_blank_lines_are_skipped(self, tmp_path, capsys, command):
+        plain = write(tmp_path, "plain.txt", "1/4\n9/32\n1/2\n")
+        blank = write(tmp_path, "blank.txt", "\n1/4\n\n  \n9/32\n1/2\n\n")
+        b = write(tmp_path, "b.txt", "1/8\n1/4\n3/8\n")
+        argv = {"decompose": lambda a: ["decompose", a, "--k", "3"],
+                "test": lambda a: ["test", a, b, "--n", "1", "--depth", "3"],
+                "dominate": lambda a: ["dominate", a, b, "--m", "1"]}[command]
+        expected = run(capsys, argv(plain))
+        assert expected[0] == 0 and expected[1]
+        assert run(capsys, argv(blank)) == expected
+
+
+# Digit runs stay at three digits or fewer, so no request length or stage
+# count reaches the allocator's quadratic-memory spine.  Besides arbitrary
+# lines, well-formed rational and two-column lines make valid inputs common.
+_small = st.integers(0, 999).map(str)
+_word = st.one_of(st.text(alphabet="01", min_size=1, max_size=3), st.just("-"))
+_arbitrary = st.builds(
+    lambda head, runs: head + "".join(d + sep for d, sep in runs),
+    st.text(alphabet="/-.e\t ", max_size=2),
+    st.lists(st.tuples(_small, st.text(alphabet="/-.e\t ", min_size=1,
+                                       max_size=2)), max_size=3))
+_rational = st.builds("{}/{}".format, _small, _small)
+_two_column = st.builds("{}\t{}".format, st.one_of(_small, _word), _word)
+_file = st.one_of(*(st.lists(line, max_size=5).map("\n".join) for line in
+                    (st.one_of(_arbitrary, _rational, _two_column),
+                     _rational, _two_column)))
+_number = st.integers(-9, 999).map(str)
+
+
+def _argv(command, draw, first, second):
+    if command == "allocate":
+        return ["allocate", first] + draw(st.sampled_from([[], ["--approx"]]))
+    if command == "decompose":
+        return ["decompose", first, f"--k={draw(_number)}"]
+    if command == "omega":
+        return ["omega", first] + draw(st.sampled_from(
+            [[], [f"--k={draw(_number)}"]]))
+    if command == "compose":
+        return ["compose", first, second]
+    if command == "dominate":
+        flag = draw(st.sampled_from(["--c", "--m"]))
+        depth = draw(st.sampled_from([[], [f"--depth={draw(_number)}"]]))
+        return ["dominate", first, second, f"{flag}={draw(_number)}"] + depth
+    return ["test", first, second, f"--n={draw(_number)}",
+            f"--depth={draw(_number)}"]
+
+
+def _run_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejecting the command line
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestNoTraceback:
+    @pytest.mark.parametrize("command", ["allocate", "decompose", "omega",
+                                         "compose", "dominate", "test"])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_clean_exit_and_stable_bytes(self, tmp_path_factory, command, data):
+        workdir = tmp_path_factory.mktemp(command, numbered=True)
+        first = workdir / "first.txt"
+        second = workdir / "second.txt"
+        first.write_text(data.draw(_file), encoding="ascii")
+        second.write_text(data.draw(_file), encoding="ascii")
+        argv = _argv(command, data.draw, str(first), str(second))
+        result = _run_quietly(argv)
+        code, _, err = result
+        assert code in (0, 2, 3), (argv, result)
+        assert "Traceback" not in err
+        assert _run_quietly(argv) == result
 
 
 class TestVerify:

@@ -7,8 +7,7 @@ from hypothesis import given, strategies as st
 
 from omegalib.errors import NonPositiveInput
 from omegalib.exact import (Dyadic, Interval, as_fraction, ceil_neg_log2,
-                            format_rational, interval_contains,
-                            interval_disjoint, measure_of_lengths,
+                            format_rational, measure_of_lengths,
                             parse_rational, pow2_neg)
 
 dyadics = st.builds(Dyadic,
@@ -39,8 +38,6 @@ class TestDyadic:
         half, quarter = Dyadic(1, 1), Dyadic(1, 2)
         assert half + quarter == Fraction(3, 4)
         assert half - quarter == quarter
-        assert half * half == quarter
-        assert 2 * quarter == half
         with pytest.raises(ValueError):
             quarter - half
 
@@ -53,9 +50,6 @@ class TestDyadic:
     def test_string_round_trip(self):
         d = Dyadic(7, 4)
         assert str(d) == "7/2^4"
-        assert Dyadic.from_string(str(d)) == d
-        with pytest.raises(ValueError):
-            Dyadic.from_string("7/16")
 
     def test_from_fraction(self):
         assert Dyadic.from_fraction(Fraction(3, 8)) == Dyadic(3, 3)
@@ -135,24 +129,24 @@ class TestMeasure:
 class TestInterval:
     def test_half_open_membership(self):
         iv = Interval(Fraction(1, 4), Fraction(5, 16))
-        assert interval_contains(iv, Fraction(1, 4))
-        assert not interval_contains(iv, Fraction(5, 16))
+        assert iv.contains(Fraction(1, 4))
+        assert not iv.contains(Fraction(5, 16))
         assert iv.measure == Fraction(1, 16)
 
     def test_disjointness(self):
         a = Interval(Fraction(1, 4), Fraction(5, 16))
         b = Interval(Fraction(1, 2), Fraction(9, 16))
         c = Interval(Fraction(9, 32), Fraction(1, 2))
-        assert interval_disjoint(a, b)
-        assert not interval_disjoint(a, c)
+        assert a.disjoint_from(b)
+        assert not a.disjoint_from(c)
 
     def test_empty_behaviour(self):
         empty = Interval(Fraction(1, 3), Fraction(1, 3))
         full = Interval(Fraction(0), Fraction(1))
         assert empty.is_empty
-        assert not interval_contains(empty, Fraction(1, 3))
-        assert interval_disjoint(empty, full)
-        assert interval_disjoint(full, empty)
+        assert not empty.contains(Fraction(1, 3))
+        assert empty.disjoint_from(full)
+        assert full.disjoint_from(empty)
 
     def test_rejects_reversed_endpoints(self):
         with pytest.raises(ValueError):
@@ -167,7 +161,19 @@ class TestSerialization:
         assert parse_rational("3/10") == Fraction(3, 10)
         assert parse_rational("4") == 4
 
+    def test_parse_rational_grammar(self):
+        assert parse_rational(" -6/4 ") == Fraction(-3, 2)
+        assert parse_rational("+7") == 7
+        for text in ("1/0", "1e-9", "0.5", "1/-2", "", "/3", "1/", "1 / 3"):
+            with pytest.raises(ValueError):
+                parse_rational(text)
+
     def test_as_fraction_coercions(self):
         assert as_fraction(3) == 3
         assert as_fraction(Dyadic(5, 3)) == Fraction(5, 8)
         assert as_fraction(Fraction(2, 7)) == Fraction(2, 7)
+
+    @pytest.mark.parametrize("value", ["1/2", "0.5", 0.5])
+    def test_as_fraction_refuses_text_and_floats(self, value):
+        with pytest.raises(TypeError):
+            as_fraction(value)

@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 from omegalib.errors import StageOutOfRange
-from omegalib.machines import (MachineTable, OmegaApprox, chaitin_transform,
-                               chaitin_transform_table, check_prefix_free,
+from omegalib.machines import (MachineTable, chaitin_transform,
+                               chaitin_transform_table,
                                combine_universal, complexity, compose,
                                format_table_lines, omega_approx,
                                parse_table_lines)
@@ -54,14 +54,6 @@ class TestOmega:
         with pytest.raises(StageOutOfRange):
             omega_approx(t, -1)
 
-    def test_omega_approx_type(self):
-        t = table(("0", ""), ("10", ""))
-        approx = OmegaApprox.from_table(t)
-        assert [p.as_fraction() for p in approx.partials] == [
-            0, Fraction(1, 2), Fraction(3, 4)]
-        with pytest.raises(ValueError):
-            OmegaApprox((omega_approx(t, 1), omega_approx(t, 1)))
-
     def test_tail_bound(self):
         t = table(("0", ""), ("10", ""), ("1100", ""), ("11010", ""))
         total = t.domain_measure()
@@ -108,7 +100,7 @@ class TestCombine:
                     table(("0", "11")),
                     table(("1", ""), ("01", "1"))]
         combined = combine_universal(machines)
-        assert check_prefix_free(combined)
+        combined.validate()
 
     def test_overhead_bound_with_witness(self):
         machines = [table(("0", "11"), ("10", "0")), table(("11", "11"))]
@@ -147,7 +139,7 @@ class TestChaitinTransform:
     def test_graph_and_complexity_inequality(self):
         u = table(("00", "1"), ("01", "0"), ("10", "1"), ("110", "0"))
         graph = chaitin_transform_table(u)
-        assert check_prefix_free(graph)
+        graph.validate()
         for program, image in graph.entries:
             output = u.lookup(program)
             assert complexity(graph, image) <= complexity(u, output)
@@ -174,9 +166,10 @@ class TestCompose:
 
 class TestPrefixFreeCheck:
     def test_cases(self):
-        assert check_prefix_free(table(("0", ""), ("10", "")))
-        assert not check_prefix_free(table(("0", ""), ("01", "")))
-        assert check_prefix_free(table())
+        table(("0", ""), ("10", "")).validate()
+        with pytest.raises(ValueError):
+            table(("0", ""), ("01", "")).validate()
+        table().validate()
 
 
 class TestTableFiles:

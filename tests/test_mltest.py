@@ -1,5 +1,7 @@
 """Levelled prefix sets: compressibility stages and compression requests."""
 
+import random
+
 import pytest
 from hypothesis import assume, given, strategies as st
 
@@ -7,11 +9,11 @@ from omegalib.codespace import allocate_all
 from omegalib.errors import (MeasureViolation, StageOutOfRange,
                              UnderlongString)
 from omegalib.exact import Dyadic, measure_of_lengths, pow2_neg
-from omegalib.machines import MachineTable
+from omegalib.machines import MachineTable, complexity
 from omegalib.mltest import (PrefixSetStage, antichain_measure,
                              complexity_test_stage, compression_requests,
-                             format_stage_lines, parse_stage_lines,
                              stage_membership)
+from omegalib.verify import random_table
 
 words = st.text(alphabet="01", max_size=6)
 
@@ -159,23 +161,26 @@ class TestStageMembership:
             assert stage_membership(alpha + extension, stage)
 
 
-class TestStageFiles:
-    def test_round_trip(self):
-        stage = PrefixSetStage(4, ("0011", "10111"))
-        lines = format_stage_lines(stage)
-        assert lines == ["4", "0011", "10111"]
-        assert parse_stage_lines(lines) == stage
+def complexity_test_stage_per_output(table, margin, k):
+    """``complexity_test_stage`` as first written: one ``complexity`` per output."""
+    if not 0 <= k <= len(table):
+        raise StageOutOfRange(f"stage {k} outside 0..{len(table)}")
+    outputs = {y for _, y in table.entries[:k]}
+    qualifying = set()
+    for y in outputs:
+        h = complexity(table, y, k)
+        if h is not None and h < len(y) - margin:
+            qualifying.add(y)
+    return qualifying
 
-    def test_empty_word_spelled_as_dash(self):
-        stage = PrefixSetStage(0, ("",))
-        lines = format_stage_lines(stage)
-        assert lines == ["0", "-"]
-        assert parse_stage_lines(lines) == stage
 
-    def test_rejects_empty_file(self):
-        with pytest.raises(ValueError):
-            parse_stage_lines([])
-
-    def test_rejects_bad_header(self):
-        with pytest.raises(ValueError):
-            parse_stage_lines(["abc", "01"])
+class TestComplexityTestStageDifferential:
+    @pytest.mark.parametrize("max_out", [2, 6, 12])
+    def test_matches_per_output(self, max_out):
+        rng = random.Random(max_out)
+        for _ in range(600):
+            table = random_table(rng, 30, 10, max_out=max_out)
+            for margin in range(6):
+                for k in range(len(table) + 1):
+                    assert complexity_test_stage(table, margin, k) == \
+                        complexity_test_stage_per_output(table, margin, k)

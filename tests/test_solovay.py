@@ -1,5 +1,6 @@
 """Interval tests, domination witnesses, and the measure-identity stream."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,10 +10,10 @@ from omegalib.ce_real import RationalSeq
 from omegalib.errors import LengthMismatch, StageOutOfRange
 from omegalib.exact import Interval, parse_rational, pow2_neg
 from omegalib.machines import MachineTable, omega_approx
-from omegalib.solovay import (DominationWitness, build_test, check_domination,
-                              extract_witness, format_stage_lines,
-                              format_witness_line, interleave_requests,
-                              omega_rep_compose, representation_partial)
+from omegalib.solovay import (build_test, check_domination, extract_witness,
+                              interleave_requests, omega_rep_compose,
+                              representation_partial)
+from omegalib.verify import random_increasing_rationals
 
 A_TERMS = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
 B_TERMS = (Fraction(1, 8), Fraction(1, 4), Fraction(3, 8))
@@ -114,10 +115,6 @@ class TestWitness:
         a_sub, b_sub = witness.subsequences(a, b)
         assert check_domination(a_sub, b_sub, 2 ** exponent)
 
-    def test_format_witness_line(self):
-        witness = DominationWitness(stage_indices=(1, 3), exponent=2)
-        assert format_witness_line(witness) == "2\t1,3"
-
 
 class TestCheckDomination:
     def test_accepts_and_rejects(self):
@@ -181,12 +178,34 @@ class TestRepresentationStream:
             representation_partial(self.V, 1, b, 2)  # b runs dry
 
 
-class TestStageFormatting:
-    def test_format_stage_lines(self):
-        a = seq((Fraction(1, 4), Fraction(9, 32), Fraction(1, 2)))
-        stage = build_test(a, seq(B_TERMS), level=1, depth=3)
-        assert format_stage_lines(stage) == [
-            "1\t1/4\t5/16",
-            "2\t-",
-            "3\t1/2\t5/8",
-        ]
+def build_test_any_scan(a, b, level, depth):
+    """``build_test`` as first written: scan every opened interval for ``a_i``."""
+    a_terms = (Fraction(0),) + a.prefix(depth)
+    b_terms = (Fraction(0),) + b.prefix(depth)
+    shrink = pow2_neg(level).as_fraction()
+    intervals = []
+    opened = []
+    last = 0
+    for i in range(1, depth + 1):
+        if any(iv.contains(a_terms[i]) for iv in opened):
+            intervals.append(None)
+            continue
+        iv = Interval(a_terms[i], a_terms[i] + shrink * (b_terms[i] - b_terms[last]))
+        intervals.append(iv)
+        opened.append(iv)
+        last = i
+    return tuple(intervals)
+
+
+class TestBuildTestDifferential:
+    @pytest.mark.parametrize("step_ceiling", [3, 1000])
+    def test_matches_any_scan(self, step_ceiling):
+        rng = random.Random(step_ceiling)
+        for _ in range(400):
+            depth = rng.randint(1, 60)
+            a = random_increasing_rationals(rng, depth, step_ceiling)
+            b = random_increasing_rationals(rng, depth, step_ceiling)
+            for level in range(6):
+                stage = build_test(seq(a), seq(b), level, depth)
+                assert stage.intervals == build_test_any_scan(
+                    seq(a), seq(b), level, depth), (a, b, level)
