@@ -11,6 +11,7 @@ Identical inputs always produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 from typing import Sequence
@@ -151,7 +152,9 @@ def _cmd_verify(args) -> int:
     return 0 if total_failed == 0 else DOMAIN_ERROR
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared for the process."""
     parser = argparse.ArgumentParser(
         prog="omegalib",
         description="Exact prefix-free codeword allocation and halting-mass "

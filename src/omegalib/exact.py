@@ -121,7 +121,12 @@ DYADIC_ZERO = Dyadic(0)
 
 
 def as_fraction(value: RationalLike) -> Fraction:
-    """Coerce an int, Fraction or Dyadic to an exact Fraction; TypeError else."""
+    """Coerce an int, Fraction or Dyadic to an exact Fraction; TypeError else.
+
+    An exact Fraction is returned as it is, without a copy.
+    """
+    if type(value) is Fraction:
+        return value
     if isinstance(value, Dyadic):
         return value.as_fraction()
     if isinstance(value, (int, Fraction)):
@@ -145,11 +150,9 @@ def ceil_neg_log2(q: RationalLike) -> int:
     if frac <= 0:
         raise NonPositiveInput(f"need a positive rational, got {frac}")
     num, den = frac.numerator, frac.denominator
-    n = 0
-    while num < den:
-        num <<= 1
-        n += 1
-    return n
+    # num << n has den's bit length, so it is below den at most once more.
+    n = max(den.bit_length() - num.bit_length(), 0)
+    return n + 1 if num << n < den else n
 
 
 def measure_of_lengths(lengths: Iterable[int]) -> Dyadic:

@@ -10,7 +10,9 @@ compresses at least as well as the machine it came from.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 from .bits import (bit_value, format_word, iter_length_lex, parse_word,
@@ -133,13 +135,42 @@ def chaitin_transform(table: MachineTable, program: str) -> str | None:
 
 
 def chaitin_transform_table(table: MachineTable) -> MachineTable:
-    """Graph of the transform over the programs where it is defined."""
-    graph = []
-    for p, _ in table.entries:
-        renamed = chaitin_transform(table, p)
-        if renamed is not None:
-            graph.append((p, renamed))
-    return MachineTable(tuple(graph))
+    """Graph of the transform over the programs where it is defined.
+
+    One pass computes what ``chaitin_transform`` computes per program: the
+    partial sums are integers at the scale of the longest program, each
+    output's stage is a binary search on them, and a length-lex cursor over
+    the outputs seen so far gives the least missing word at every stage.
+    The cursor never moves back, because the seen set only grows.
+    """
+    first: dict[str, str] = {}
+    for p, y in table.entries:
+        first.setdefault(p, y)
+    scale = max(map(len, first), default=0)
+    sums = list(accumulate(1 << (scale - len(p)) for p, _ in table.entries))
+    # 0.y <= sum / 2^scale exactly when sum >= ceil(int(y) * 2^scale / 2^len(y)).
+    stage = {y: bisect_left(sums, -((-int(y or "0", 2) << scale) >> len(y)))
+             for y in set(first.values())}
+    wanted = set(stage.values())
+    image: dict[int, str] = {}
+    seen: set[str] = set()
+    missing = ""
+    for t, (_, y) in enumerate(table.entries):
+        seen.add(y)
+        if t in wanted:
+            while missing in seen:
+                missing = _successor(missing)
+            image[t] = missing
+    renamed = {p: image.get(stage[y]) for p, y in first.items()}
+    return MachineTable(tuple((p, renamed[p]) for p, _ in table.entries
+                              if renamed[p] is not None))
+
+
+def _successor(word: str) -> str:
+    """The word after ``word`` in length-then-lexicographic order."""
+    if "0" not in word:
+        return "0" * (len(word) + 1)
+    return format(int(word, 2) + 1, f"0{len(word)}b")
 
 
 def parse_table_lines(lines: Iterable[str]) -> MachineTable:

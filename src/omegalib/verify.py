@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import zip_longest
 from math import isqrt
 from typing import Callable, Iterator, Sequence
 
@@ -268,18 +269,27 @@ def check_test_family(a_terms: Sequence[Fraction], b_terms: Sequence[Fraction],
 
 
 def check_transform(table: machines.MachineTable) -> list[str]:
-    """Collapse and no-worse-compression facts of the canonical renaming."""
+    """Collapse and no-worse-compression facts of the canonical renaming,
+    and agreement of the one-pass graph with the per-program definition."""
     failures = []
     renamed = {}
+    defined = []
     for program, output in table.entries:
         image = machines.chaitin_transform(table, program)
         if image is None:
             continue
+        defined.append((program, image))
         if output in renamed and renamed[output] != image:
             failures.append(f"programs with output {output!r} map apart")
         renamed.setdefault(output, image)
 
     graph = machines.chaitin_transform_table(table)
+    for ours, reference in zip_longest(graph.entries, defined):
+        if ours != reference:
+            program = (ours or reference)[0]
+            failures.append(f"graph entry for program {program!r} is {ours!r}, "
+                            f"the definition gives {reference!r}")
+            break
     for program, image in graph.entries:
         output = table.lookup(program)
         original = machines.complexity(table, output)

@@ -6,7 +6,7 @@ import io
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from omegalib.cli import main
+from omegalib.cli import build_parser, main
 
 
 def write(tmp_path, name, text):
@@ -298,6 +298,58 @@ class TestNoTraceback:
         assert code in (0, 2, 3), (argv, result)
         assert "Traceback" not in err
         assert _run_quietly(argv) == result
+
+
+class TestParserReuse:
+    """One parser serves every call in a process: no call may see another's
+    options, and a usage error leaves it as it was."""
+
+    def test_interleaved_calls_repeat_their_bytes(self, tmp_path):
+        table = write(tmp_path, "u.tsv", "0\t1\n10\t0\n110\t-\n")
+        seq = write(tmp_path, "a.txt", "1/4\n9/32\n1/2\n")
+        b = write(tmp_path, "b.txt", "1/8\n1/4\n3/8\n")
+        requests = write(tmp_path, "r.txt", "1\t0\n2\t1\n")
+        calls = [
+            ["omega", table, "--k", "2"],
+            ["omega", table],
+            ["decompose", seq],                      # --k missing: usage error
+            ["omega", table, "--approx"],
+            ["omega", table],
+            ["allocate", requests, "--approx"],
+            ["allocate", requests],
+            ["dominate", seq, b, "--m", "1"],
+            ["dominate", seq, b],                    # neither --c nor --m
+            ["dominate", seq, b, "--c", "2"],
+            ["decompose", seq, "--k", "3", "--approx"],
+            ["decompose", seq, "--k", "3"],
+            ["omega", table, "--k", "nope"],         # usage error
+            ["test", seq, b, "--n", "1", "--depth", "3"],
+            ["omega", table],
+        ]
+        first = {}
+        for round_ in range(3):
+            order = calls if round_ != 1 else calls[::-1]
+            for argv in order:
+                result = _run_quietly(argv)
+                assert first.setdefault(tuple(argv), result) == result, argv
+        assert build_parser() is build_parser()
+
+        def result(*argv):
+            return first[argv]
+        assert result("omega", table, "--k", "2") == (0, "2\t3/4\n", "")
+        assert result("omega", table) == (0, "1\t1/2\n2\t3/4\n3\t7/8\n", "")
+        assert "~" not in result("omega", table)[1]
+        assert result("omega", table, "--approx")[1].endswith("3\t7/8\t~0.875000\n")
+        assert "~" not in result("allocate", requests)[1]
+        assert "~" in result("allocate", requests, "--approx")[1]
+        assert "~" not in result("decompose", seq, "--k", "3")[1]
+        assert result("dominate", seq, b, "--m", "1") == (0, "1\t1,3\n", "")
+        assert result("dominate", seq, b, "--c", "2")[0] == 0
+        code, out, err = result("dominate", seq, b)
+        assert (code, out) == (2, "") and "needs --c" in err
+        for bad in (("decompose", seq), ("omega", table, "--k", "nope")):
+            code, out, err = result(*bad)
+            assert (code, out) == (2, "") and err.startswith("usage: omegalib")
 
 
 class TestVerify:

@@ -100,6 +100,30 @@ class TestPow2AndLog:
         else:
             assert q >= 1
 
+    def test_ceil_neg_log2_at_and_around_powers_of_two(self):
+        for n in range(10_001):
+            assert ceil_neg_log2(Fraction(1, 1 << n)) == n
+            # 1/(2^n + 1) lies in [2^-(n+1), 2^-n); 2/(2^(n+1) - 1) in (2^-n, 2^-(n-1)]
+            assert ceil_neg_log2(Fraction(1, (1 << n) + 1)) == n + 1
+            assert ceil_neg_log2(Fraction(2, (2 << n) - 1)) == n
+
+    @pytest.mark.parametrize("q", [Fraction(1), Fraction(7, 3), Fraction(3, 2),
+                                   Fraction(10**100 + 1, 10**100), 1, 2**4000])
+    def test_ceil_neg_log2_at_least_one_is_zero(self, q):
+        assert ceil_neg_log2(q) == 0
+
+    def test_ceil_neg_log2_wide_gap_needs_the_correction(self):
+        # 3 * 2^40000 has two more bits than 1, but 2^-40001 > 1/(3 * 2^40000).
+        assert ceil_neg_log2(Fraction(1, 3 << 40000)) == 40002
+        assert ceil_neg_log2(Fraction(1, 2 << 40000)) == 40001
+
+    @given(st.integers(1, 4000).flatmap(lambda k: st.integers(1 << (k - 1), (1 << k) - 1)),
+           st.integers(1, 4000).flatmap(lambda k: st.integers(1 << (k - 1), (1 << k) - 1)))
+    def test_ceil_neg_log2_wide_operands(self, num, den):
+        n = ceil_neg_log2(Fraction(num, den))
+        assert n >= 0 and num << n >= den
+        assert n == 0 or num << (n - 1) < den
+
 
 class TestMeasure:
     def test_fixed_values(self):
@@ -172,6 +196,14 @@ class TestSerialization:
         assert as_fraction(3) == 3
         assert as_fraction(Dyadic(5, 3)) == Fraction(5, 8)
         assert as_fraction(Fraction(2, 7)) == Fraction(2, 7)
+        exact = Fraction(2, 7)
+        assert as_fraction(exact) is exact
+
+        class Half(Fraction):
+            pass
+        for value in (True, 3, Half(1, 2)):
+            assert type(as_fraction(value)) is Fraction
+            assert as_fraction(value) == value
 
     @pytest.mark.parametrize("value", ["1/2", "0.5", 0.5])
     def test_as_fraction_refuses_text_and_floats(self, value):

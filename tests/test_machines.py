@@ -1,9 +1,12 @@
 """Machine tables: halting mass, complexity, combination, transform."""
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
+from omegalib import codespace, machines, verify
 from omegalib.errors import StageOutOfRange
 from omegalib.machines import (MachineTable, chaitin_transform,
                                chaitin_transform_table,
@@ -143,6 +146,102 @@ class TestChaitinTransform:
         for program, image in graph.entries:
             output = u.lookup(program)
             assert complexity(graph, image) <= complexity(u, output)
+
+
+def reference_transform_table(table):
+    """The quadratic graph the one-pass table replaced, kept literally: the
+    per-program definition, re-run for every program."""
+    graph = []
+    for p, _ in table.entries:
+        renamed = chaitin_transform(table, p)
+        if renamed is not None:
+            graph.append((p, renamed))
+    return MachineTable(tuple(graph))
+
+
+def analysis_shaped_table(rng, entries=200):
+    """Programs of 8-14 bits and 14-28 bit outputs with 2-8 leading zeros,
+    a third as many outputs as programs: small values, shared outputs."""
+    outputs = []
+    for _ in range(entries // 3):
+        zeros = rng.randint(2, 8)
+        tail = rng.randint(14, 28) - zeros
+        outputs.append("0" * zeros + "".join(rng.choice("01") for _ in range(tail)))
+    requests = [(rng.randint(8, 14), rng.choice(outputs)) for _ in range(entries)]
+    return MachineTable(tuple(codespace.allocate_all(requests)))
+
+
+class TestTransformTableDifferential:
+    def test_every_small_table(self):
+        # Repeated and non-prefix-free programs and empty outputs included.
+        words = ["", "0", "1", "00", "01", "10", "11"]
+        pairs = list(itertools.product(words, repeat=2))
+        for size in range(4):
+            for entries in itertools.product(pairs, repeat=size):
+                t = MachineTable(entries)
+                assert chaitin_transform_table(t) == reference_transform_table(t), t
+
+    def test_seeded_random_tables(self):
+        rng = random.Random(20260418)
+        for max_out in (2, 4, 8):
+            for _ in range(400):
+                t = verify.random_table(rng, 20, 10, max_out=max_out)
+                assert chaitin_transform_table(t) == reference_transform_table(t), t
+
+    def test_analysis_shaped_tables(self):
+        rng = random.Random(4)
+        defined = 0
+        for _ in range(12):
+            t = analysis_shaped_table(rng)
+            graph = chaitin_transform_table(t)
+            assert graph == reference_transform_table(t)
+            defined += len(graph)
+        assert defined >= 12 * 50   # the renaming is defined on many programs
+
+    def test_empty_table(self):
+        assert chaitin_transform_table(table()) == table()
+
+    @pytest.mark.parametrize("zero", ["", "0", "000"])
+    def test_zero_value_is_reached_at_stage_one(self, zero):
+        # Stage 1 sees only its own output, so the empty word is the image
+        # unless that output is the empty word itself.
+        t = table(("1", zero), ("01", "1"))
+        image = "0" if zero == "" else ""
+        assert chaitin_transform_table(t).entries[0] == ("1", image)
+        assert chaitin_transform_table(t) == reference_transform_table(t)
+
+    def test_value_equal_to_a_partial_sum(self):
+        # 0."01" = 1/4 = omega_1, so stage 1 (seen {"01"}) gives "";
+        # a strict comparison would pick stage 2 (seen {"01", ""}) and "0".
+        t = table(("00", "01"), ("01", ""), ("1", "0"))
+        assert chaitin_transform_table(t).entries[0] == ("00", "")
+        assert chaitin_transform_table(t) == reference_transform_table(t)
+
+    def test_value_no_stage_reaches(self):
+        # 0."11" = 3/4 exceeds the whole mass 1/2: "00" has no image.
+        t = table(("00", "11"), ("01", "0"))
+        assert chaitin_transform_table(t).entries == (("01", ""),)
+        assert chaitin_transform_table(t) == reference_transform_table(t)
+
+    def test_repeated_program_takes_its_first_output(self):
+        # "1" maps by its first output "" (stage 1, image "0"); by its last
+        # output "11" it would reach stage 2, see {"", "0"} and map to "1".
+        t = table(("1", ""), ("0", "0"), ("1", "11"))
+        assert chaitin_transform_table(t).entries == (
+            ("1", "0"), ("0", "0"), ("1", "0"))
+        assert chaitin_transform_table(t) == reference_transform_table(t)
+
+    def test_check_transform_names_the_first_disagreement(self, monkeypatch):
+        t = table(("00", "1"), ("01", "0"), ("10", "1"), ("110", "0"))
+        assert verify.check_transform(t) == []
+        good = chaitin_transform_table(t)
+        broken = MachineTable(good.entries[:1] + (("01", "11"),) + good.entries[2:])
+        monkeypatch.setattr(machines, "chaitin_transform_table", lambda _: broken)
+        failures = verify.check_transform(t)
+        assert any("program '01'" in f for f in failures), failures
+        monkeypatch.setattr(machines, "chaitin_transform_table",
+                            lambda _: MachineTable(good.entries[:-1]))
+        assert any("program '110'" in f for f in verify.check_transform(t))
 
 
 class TestCompose:
