@@ -29,9 +29,9 @@ print("mass of the pieces:", measure_of_lengths(len(p) for p in pieces),
 print()
 
 # ---------------------------------------------------------------------------
-# 2. A small run, one request at a time.  Watch the free pool: its word
-#    lengths stay strictly decreasing, which is the shape that lets the
-#    allocator find the first fitting word by binary search.
+# 2. A small run, one request at a time.  Watch the free pool: it is kept
+#    shortest first, its word lengths strictly increasing, which is the shape
+#    that lets the allocator find the longest fitting word by binary search.
 # ---------------------------------------------------------------------------
 
 state = new_allocator()

@@ -15,6 +15,13 @@ _BITS = frozenset("01")
 
 
 def validate_bits(word: str) -> str:
+    """Return ``word`` if it is a ``str`` over {'0', '1'}.
+
+    Raises TypeError for anything but a ``str`` (a tuple of bits is not a
+    word) and ValueError for a string with another character.
+    """
+    if not isinstance(word, str):
+        raise TypeError(f"a binary word is a str, got {word!r}")
     if not _BITS.issuperset(word):
         raise ValueError(f"not a binary word: {word!r}")
     return word

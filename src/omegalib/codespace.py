@@ -2,31 +2,38 @@
 
 The allocator owns a pool of *free prefixes*: binary words whose cylinders
 partition the part of code space not yet spoken for.  The pool is kept
-strictly sorted by decreasing length, which forces pairwise-distinct lengths
-and makes "the longest free word of length <= n" the first fitting word in
-pool order.  Serving a length-``n`` request splits that word's subtree: the
-all-zeros extension of length ``n`` becomes the new codeword and the siblings
-along the spine return to the pool.  Five checkable invariants tie the story
-together: the free pool plus the issued codewords stay prefix-free, together
-they carry measure exactly one, the issued mass matches the running ledger,
-any still-pending request lengths fit inside the free measure, and the pool
-lengths stay strictly decreasing.
+shortest first, strictly sorted by increasing length, which forces
+pairwise-distinct lengths and makes "the longest free word of length <= n"
+the last word of length <= n in pool order.  Serving a length-``n`` request
+splits that word's subtree: the all-zeros extension of length ``n`` becomes
+the new codeword and the siblings along the spine return to the pool, in its
+place and shortest first.  Five checkable invariants tie the story together:
+the free pool plus the issued codewords stay prefix-free, together they
+carry measure exactly one, the issued mass matches the running ledger, any
+still-pending request lengths fit inside the free measure, and the pool
+lengths stay strictly increasing.
 
-The allocator finds the first fitting word by binary search over the pool,
-so it relies on the last invariant (strictly decreasing lengths): a
+The allocator finds the longest fitting word by binary search over the pool
+lengths, so it relies on the last invariant (strictly increasing lengths): a
 hand-built pool that breaks it is not a valid ``allocate`` input, and
 ``check_invariants`` reports it as ``free_lengths_distinct`` failing.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .bits import prefix_free, validate_bits
 from .errors import InsufficientMass, TargetTooShort
 from .exact import DYADIC_ZERO, Dyadic
+
+
+def _split(stem: str, target: int) -> tuple[str, list[str]]:
+    """``stem + 0^k`` and the siblings along its spine, shortest first."""
+    head = stem + "0" * (target - len(stem))
+    return head, [head[:j] + "1" for j in range(len(stem), target)]
 
 
 def extend_prefix(stem: str, target: int) -> list[str]:
@@ -39,12 +46,11 @@ def extend_prefix(stem: str, target: int) -> list[str]:
     whole split.
     """
     validate_bits(stem)
-    depth = target - len(stem)
-    if depth < 0:
+    if target < len(stem):
         raise TargetTooShort(
             f"target length {target} is below the stem length {len(stem)}")
-    head = stem + "0" * depth
-    return [head] + [head[:j] + "1" for j in range(target - 1, len(stem) - 1, -1)]
+    head, siblings = _split(stem, target)
+    return [head, *reversed(siblings)]
 
 
 @dataclass
@@ -61,39 +67,37 @@ def new_allocator() -> AllocatorState:
     return AllocatorState()
 
 
-def _neg_len(word: str) -> int:
-    return -len(word)
-
-
 def allocate(state: AllocatorState, n: int) -> str:
     """Issue a codeword of length ``n``, consuming ``2**-n`` of free measure.
 
     Picks the longest free word of length <= n (on a strictly sorted pool
     such a word exists exactly when the free measure is at least ``2**-n``),
-    replaces it in the pool by the siblings along its split, appends the new
-    codeword to ``state.allocated`` and returns it.  Raises InsufficientMass
-    when no free word fits.
+    replaces it in the pool by the siblings along its split, shortest first,
+    appends the new codeword to ``state.allocated`` and returns it.  Raises
+    InsufficientMass when no free word fits.
 
-    The pick is a binary search, so it relies on the pool lengths being
-    strictly decreasing (invariant 5); a pool that breaks it is not a valid
-    input.  The mass ledger grows by one aligned integer add.
+    The pick is a binary search over the pool lengths, so it relies on the
+    pool being shortest first with strictly increasing lengths (invariant
+    5); a pool that breaks it is not a valid input.  Pool words are the
+    allocator's own, so they are split without re-validation.  The mass
+    ledger grows by one aligned integer add.
     """
     if n < 0:
         raise ValueError("codeword lengths are natural numbers")
     free = state.free
-    pick = bisect_left(free, -n, key=_neg_len)
-    if pick == len(free):
+    pick = bisect_right(free, n, key=len) - 1
+    if pick < 0:
         raise InsufficientMass(n)
-    words = extend_prefix(free[pick], n)
-    free[pick:pick + 1] = words[1:]
-    state.allocated.append(words[0])
+    word, siblings = _split(free[pick], n)
+    free[pick:pick + 1] = siblings
+    state.allocated.append(word)
     mass = state.mass_allocated
     shift = n - mass.exponent
     if shift >= 0:
         state.mass_allocated = Dyadic((mass.mantissa << shift) + 1, n)
     else:
         state.mass_allocated = Dyadic(mass.mantissa + (1 << -shift), mass.exponent)
-    return words[0]
+    return word
 
 
 def allocate_all(requests: Iterable[tuple[int, str]]) -> list[tuple[str, str]]:
@@ -168,7 +172,7 @@ def check_invariants(state: AllocatorState,
         union_measure_is_one=free_mass + alloc_mass == 1 << scale,
         mass_matches_ledger=alloc_mass == ledger,
         remaining_requests_fit=fit,
-        free_lengths_distinct=all(len(free[i]) > len(free[i + 1])
+        free_lengths_distinct=all(len(free[i]) < len(free[i + 1])
                                   for i in range(len(free) - 1)),
     )
 

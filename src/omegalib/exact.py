@@ -23,6 +23,8 @@ RationalLike = Union[Fraction, int, "Dyadic"]
 def _normalized(mantissa: int, exponent: int) -> tuple[int, int]:
     if mantissa < 0:
         raise ValueError("dyadic values are non-negative")
+    if mantissa & 1:
+        return mantissa, exponent
     if mantissa == 0:
         return 0, 0
     shift = (mantissa & -mantissa).bit_length() - 1
@@ -168,14 +170,18 @@ def measure_of_lengths(lengths: Iterable[int]) -> Dyadic:
 
 @dataclass(frozen=True)
 class Interval:
-    """Half-open rational interval ``[lo, hi)``; empty exactly when lo == hi."""
+    """Half-open rational interval ``[lo, hi)``; empty exactly when lo == hi.
+
+    Both endpoints go through ``as_fraction``, so text and floats raise
+    TypeError.
+    """
 
     lo: Fraction
     hi: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "lo", Fraction(self.lo))
-        object.__setattr__(self, "hi", Fraction(self.hi))
+        object.__setattr__(self, "lo", as_fraction(self.lo))
+        object.__setattr__(self, "hi", as_fraction(self.hi))
         if self.lo > self.hi:
             raise ValueError(f"interval endpoints out of order: {self.lo} > {self.hi}")
 

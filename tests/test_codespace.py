@@ -29,6 +29,12 @@ class TestExtendPrefix:
         with pytest.raises(TargetTooShort):
             extend_prefix("001", 2)
 
+    def test_non_str_stem_refused(self):
+        # Refused by the word check, before the split touches the stem.
+        for stem in (("0", "1"), ["0"], b"01"):
+            with pytest.raises(TypeError, match="a binary word is a str"):
+                extend_prefix(stem, 4)
+
     @given(st.integers(min_value=0, max_value=10))
     def test_split_is_a_partition(self, depth):
         words = extend_prefix("01", 2 + depth)
@@ -41,14 +47,14 @@ class TestAllocate:
         state = new_allocator()
         assert state.free == [""]
         assert allocate(state, 2) == "00"
-        assert state.free == ["01", "1"]
+        assert state.free == ["1", "01"]
         assert state.mass_allocated == Fraction(1, 4)
 
     def test_second_allocation(self):
         state = new_allocator()
         allocate(state, 2)
         assert allocate(state, 3) == "010"
-        assert state.free == ["011", "1"]
+        assert state.free == ["1", "011"]
 
     def test_zero_length_takes_everything(self):
         state = new_allocator()
@@ -112,12 +118,22 @@ class TestCheckInvariants:
         assert not report.ok
 
     def test_hand_built_unsorted_pool_fails(self):
-        # Prefix-free with measure one, but not strictly decreasing in length:
+        # Prefix-free with measure one, but not strictly increasing in length:
         # not a valid allocate input, and the report says so.
         state = AllocatorState(free=["1", "01", "00"], allocated=[],
                                mass_allocated=Dyadic(0))
         report = check_invariants(state)
         assert report.failures() == ["free_lengths_distinct"]
+
+    def test_hand_built_longest_first_pool_fails(self):
+        # The state two allocations leave, with the pool in the longest-first
+        # order the allocator used to keep.
+        state = AllocatorState(free=["011", "1"], allocated=["00", "010"],
+                               mass_allocated=Dyadic(3, 3))
+        report = check_invariants(state)
+        assert report.failures() == ["free_lengths_distinct"]
+        state.free.reverse()
+        assert check_invariants(state).ok
 
     def test_wrong_ledger_detected(self):
         state = new_allocator()
@@ -195,7 +211,8 @@ def assert_same_run(lengths) -> int:
     for i, n in enumerate(lengths):
         expected = _serve(reference_allocate, old, n)
         assert _serve(allocate, new, n) == expected, (i, n)
-        assert new.free == old.free, (i, n)
+        # The reference keeps the pool longest first, ``allocate`` shortest first.
+        assert new.free == old.free[::-1], (i, n)
         # ``allocated`` only grows, so its length and last word pin it down.
         assert len(new.allocated) == len(old.allocated), (i, n)
         assert new.allocated[-1:] == old.allocated[-1:], (i, n)

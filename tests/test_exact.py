@@ -29,6 +29,19 @@ class TestDyadic:
         with pytest.raises(ValueError):
             Dyadic(-1, 0)
 
+    def test_normalisation_matches_trailing_zero_strip(self):
+        # The normalisation before the odd-mantissa fast path, kept literally.
+        def reference(mantissa, exponent):
+            if mantissa == 0:
+                return 0, 0
+            shift = (mantissa & -mantissa).bit_length() - 1
+            return mantissa >> shift, exponent - shift
+
+        for m in range(2049):
+            for e in range(-3, 13):
+                d = Dyadic(m, e)
+                assert (d.mantissa, d.exponent) == reference(m, e), (m, e)
+
     def test_immutable(self):
         d = Dyadic(3, 2)
         with pytest.raises(AttributeError):
@@ -175,6 +188,20 @@ class TestInterval:
     def test_rejects_reversed_endpoints(self):
         with pytest.raises(ValueError):
             Interval(Fraction(1, 2), Fraction(1, 4))
+
+    @pytest.mark.parametrize("lo, hi", [
+        ("0.5", 1), (0, "1/2"), (0.25, 0.5), (Fraction(1, 4), 0.5),
+    ])
+    def test_refuses_text_and_floats(self, lo, hi):
+        with pytest.raises(TypeError):
+            Interval(lo, hi)
+
+    def test_endpoint_coercion(self):
+        exact = Fraction(1, 3)
+        iv = Interval(exact, Dyadic(1, 1))
+        assert iv.lo is exact
+        assert iv.hi == Fraction(1, 2) and type(iv.hi) is Fraction
+        assert Interval(0, 1).measure == 1
 
 
 class TestSerialization:

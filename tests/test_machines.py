@@ -32,6 +32,12 @@ class TestMachineTable:
         with pytest.raises(ValueError):
             table(("02", "1"))
 
+    def test_rejects_non_str_words(self):
+        # A tuple of bits passes an alphabet check but is not a word.
+        for entry in ((("0", "1"), "1"), ("0", ["1"]), (0, "1")):
+            with pytest.raises(TypeError, match="a binary word is a str"):
+                MachineTable((entry,))
+
     def test_validate(self):
         table(("0", ""), ("10", "")).validate()
         with pytest.raises(ValueError):
