@@ -3,37 +3,29 @@
 The allocator owns a pool of *free prefixes*: binary words whose cylinders
 partition the part of code space not yet spoken for.  The pool is kept
 shortest first, strictly sorted by increasing length, which forces
-pairwise-distinct lengths and makes "the longest free word of length <= n"
-the last word of length <= n in pool order.  Serving a length-``n`` request
-splits that word's subtree: the all-zeros extension of length ``n`` becomes
-the new codeword and the siblings along the spine return to the pool, in its
-place and shortest first.  Five checkable invariants tie the story together:
-the free pool plus the issued codewords stay prefix-free, together they
-carry measure exactly one, the issued mass matches the running ledger, any
-still-pending request lengths fit inside the free measure, and the pool
-lengths stay strictly increasing.
-
-The allocator finds the longest fitting word by binary search over the pool
-lengths, so it relies on the last invariant (strictly increasing lengths): a
-hand-built pool that breaks it is not a valid ``allocate`` input, and
-``check_invariants`` reports it as ``free_lengths_distinct`` failing.
+pairwise-distinct lengths and makes "the longest free word of length <= n" the
+last word of length <= n in pool order.  Serving a length-``n`` request splits
+that word's subtree: the all-zeros extension of length ``n`` becomes the new
+codeword and the siblings along the spine return to the pool, in its place and
+shortest first.  The split lives only in ``allocate``; ``extend_prefix`` is
+``allocate`` on a one-word pool.  The mass ledger is a raw integer at the
+scale of the longest issued length, canonical on read.  Five checkable
+invariants tie it together: the free pool plus the issued codewords stay
+prefix-free, together they carry measure exactly one, the issued mass matches
+the ledger, pending request lengths fit inside the free measure, and the pool
+lengths stay strictly increasing.  The pick's binary search relies on the last
+one: a hand-built pool that breaks it is not a valid ``allocate`` input.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .bits import prefix_free, validate_bits
+from .bits import parse_word, prefix_free, validate_bits
 from .errors import InsufficientMass, TargetTooShort
 from .exact import DYADIC_ZERO, Dyadic
-
-
-def _split(stem: str, target: int) -> tuple[str, list[str]]:
-    """``stem + 0^k`` and the siblings along its spine, shortest first."""
-    head = stem + "0" * (target - len(stem))
-    return head, [head[:j] + "1" for j in range(len(stem), target)]
 
 
 def extend_prefix(stem: str, target: int) -> list[str]:
@@ -43,23 +35,36 @@ def extend_prefix(stem: str, target: int) -> list[str]:
     ``k = target - len(stem)``: the head is the allocatable all-zeros word and
     the tail holds the replacement prefixes, lengths running ``target`` down
     to ``len(stem) + 1``.  For ``target == len(stem)`` the word itself is the
-    whole split.
+    whole split.  This is ``allocate`` on the one-word pool ``[stem]``.
     """
     validate_bits(stem)
     if target < len(stem):
         raise TargetTooShort(
             f"target length {target} is below the stem length {len(stem)}")
-    head, siblings = _split(stem, target)
-    return [head, *reversed(siblings)]
+    state = AllocatorState(free=[stem])
+    return [allocate(state, target), *reversed(state.free)]
 
 
-@dataclass
 class AllocatorState:
-    """Mutable allocator state: free pool, issued codewords, mass ledger."""
+    """Mutable allocator state: free pool, issued codewords, raw mass ledger.
 
-    free: list[str] = field(default_factory=lambda: [""])
-    allocated: list[str] = field(default_factory=list)
-    mass_allocated: Dyadic = DYADIC_ZERO
+    The ledger is ``_issued`` units of ``2**-_scale``, ``_scale`` being the
+    longest issued length.  ``mass_allocated`` reads it as a canonical
+    ``Dyadic``; assigning a ``Dyadic`` to it replaces the ledger."""
+
+    def __init__(self, free: list[str] | None = None, allocated: list[str] | None = None,
+                 mass_allocated: Dyadic = DYADIC_ZERO):
+        self.free = [""] if free is None else free
+        self.allocated = [] if allocated is None else allocated
+        self.mass_allocated = mass_allocated
+
+    @property
+    def mass_allocated(self) -> Dyadic:
+        return Dyadic(self._issued, self._scale)
+
+    @mass_allocated.setter
+    def mass_allocated(self, mass: Dyadic) -> None:
+        self._issued, self._scale = mass.mantissa, mass.exponent
 
 
 def new_allocator() -> AllocatorState:
@@ -70,17 +75,14 @@ def new_allocator() -> AllocatorState:
 def allocate(state: AllocatorState, n: int) -> str:
     """Issue a codeword of length ``n``, consuming ``2**-n`` of free measure.
 
-    Picks the longest free word of length <= n (on a strictly sorted pool
-    such a word exists exactly when the free measure is at least ``2**-n``),
-    replaces it in the pool by the siblings along its split, shortest first,
-    appends the new codeword to ``state.allocated`` and returns it.  Raises
-    InsufficientMass when no free word fits.
-
-    The pick is a binary search over the pool lengths, so it relies on the
-    pool being shortest first with strictly increasing lengths (invariant
-    5); a pool that breaks it is not a valid input.  Pool words are the
-    allocator's own, so they are split without re-validation.  The mass
-    ledger grows by one aligned integer add.
+    Picks the longest free word of length <= n by binary search over the
+    strictly sorted pool (such a word exists exactly when the free measure is
+    at least ``2**-n``), builds its all-zeros extension of length ``n``,
+    splices the siblings along that spine into its place, shortest first, and
+    appends the codeword to ``state.allocated``.  Raises InsufficientMass when
+    no word fits.  The word is built before the pool changes, so a call that
+    raises leaves the state as it was.  Pool words are the allocator's own and
+    are not re-validated; the raw ledger grows by one shift-and-add.
     """
     if n < 0:
         raise ValueError("codeword lengths are natural numbers")
@@ -88,15 +90,16 @@ def allocate(state: AllocatorState, n: int) -> str:
     pick = bisect_right(free, n, key=len) - 1
     if pick < 0:
         raise InsufficientMass(n)
-    word, siblings = _split(free[pick], n)
-    free[pick:pick + 1] = siblings
+    stem = free[pick]
+    word = stem + "0" * (n - len(stem))
+    free[pick:pick + 1] = [word[:j] + "1" for j in range(len(stem), n)]
     state.allocated.append(word)
-    mass = state.mass_allocated
-    shift = n - mass.exponent
-    if shift >= 0:
-        state.mass_allocated = Dyadic((mass.mantissa << shift) + 1, n)
+    scale = state._scale
+    if n > scale:
+        state._issued = (state._issued << (n - scale)) + 1
+        state._scale = n
     else:
-        state.mass_allocated = Dyadic(mass.mantissa + (1 << -shift), mass.exponent)
+        state._issued += 1 << (scale - n)
     return word
 
 
@@ -153,14 +156,13 @@ def check_invariants(state: AllocatorState,
     """
     free, allocated = state.free, state.allocated
     union = free + allocated
-    scale = max((len(w) for w in union), default=0)
-    scale = max(scale, state.mass_allocated.exponent, 0)
+    scale = max(max(map(len, union), default=0), state._scale)
     if remaining_lengths:
         scale = max(scale, max(remaining_lengths))
 
     free_mass = sum(1 << (scale - len(w)) for w in free)
     alloc_mass = sum(1 << (scale - len(w)) for w in allocated)
-    ledger = state.mass_allocated.mantissa << (scale - state.mass_allocated.exponent)
+    ledger = state._issued << (scale - state._scale)
 
     if remaining_lengths is None:
         fit = None
@@ -179,8 +181,6 @@ def check_invariants(state: AllocatorState,
 
 def parse_request_lines(lines: Iterable[str]) -> list[tuple[int, str]]:
     """Parse ``n<TAB>y`` request lines; ``y`` is ``-`` for the empty output."""
-    from .bits import parse_word
-
     requests: list[tuple[int, str]] = []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -189,8 +189,8 @@ def parse_request_lines(lines: Iterable[str]) -> list[tuple[int, str]]:
         fields = line.split("\t")
         if len(fields) != 2:
             raise ValueError(f"line {lineno}: expected 'n<TAB>y', got {line!r}")
-        n = int(fields[0])
-        if n < 0:
-            raise ValueError(f"line {lineno}: negative length {n}")
-        requests.append((n, parse_word(fields[1])))
+        length = fields[0].strip()
+        if not (length.isascii() and length.isdigit()):
+            raise ValueError(f"line {lineno}: length {fields[0]!r} is not a natural number")
+        requests.append((int(length), parse_word(fields[1])))
     return requests

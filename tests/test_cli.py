@@ -61,6 +61,14 @@ class TestAllocate:
         assert code == 2
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("length", ["1_2", "+3", "\u0661\u0662", "\u00b2"])
+    def test_non_ascii_digit_length_exits_2(self, capsys, monkeypatch, length):
+        monkeypatch.setattr("sys.stdin", io.StringIO(f"1\t-\n{length}\t-\n"))
+        code, out, err = run(capsys, ["allocate", "-"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: line 2: length ")
+
     def test_missing_file_exits_2(self, tmp_path, capsys):
         code, _, err = run(capsys, ["allocate", str(tmp_path / "nope.tsv")])
         assert code == 2

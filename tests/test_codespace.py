@@ -2,11 +2,13 @@
 
 import random
 from fractions import Fraction
+from itertools import takewhile
 
 import pytest
 from hypothesis import given, strategies as st
 
-from omegalib.bits import prefix_free, validate_bits
+from omegalib import codespace
+from omegalib.bits import iter_length_lex, prefix_free, validate_bits
 from omegalib.codespace import (AllocatorState, allocate, allocate_all,
                                 check_invariants, extend_prefix,
                                 new_allocator, parse_request_lines)
@@ -67,6 +69,52 @@ class TestAllocate:
     def test_rejects_negative_length(self):
         with pytest.raises(ValueError):
             allocate(new_allocator(), -1)
+
+    @pytest.mark.parametrize("n, error", [
+        (-1, ValueError), (1, InsufficientMass), (2.5, TypeError),
+    ])
+    def test_raising_call_leaves_state_untouched(self, n, error):
+        state = new_allocator()
+        allocate(state, 1)
+        allocate(state, 3)
+        before = (list(state.free), list(state.allocated), state.mass_allocated)
+        assert before == (["11", "101"], ["0", "100"], Dyadic(5, 3))
+        with pytest.raises(error):
+            allocate(state, n)
+        assert (state.free, state.allocated, state.mass_allocated) == before
+
+    def test_fresh_states_share_no_lists(self):
+        first, second = AllocatorState(), AllocatorState()
+        assert first.free is not second.free
+        assert first.allocated is not second.allocated
+        allocate(first, 1)
+        assert (second.free, second.allocated) == ([""], [])
+        assert new_allocator().free == [""]
+
+
+class TestLedger:
+    @pytest.mark.parametrize("lengths, canonical", [
+        # Each run ends with a request exactly as long as the longest one
+        # before it, the write that leaves the raw ledger even.
+        ([1, 1], (1, 0)), ([3, 3], (1, 2)), ([2, 5, 5], (5, 4)),
+    ])
+    def test_read_back_is_canonical(self, lengths, canonical):
+        state = new_allocator()
+        for n in lengths:
+            allocate(state, n)
+        mass = state.mass_allocated
+        assert (mass.mantissa, mass.exponent) == canonical
+        assert mass == measure_of_lengths(lengths)
+
+    def test_hand_built_ledger_round_trips(self):
+        state = AllocatorState(free=[""], allocated=[], mass_allocated=Dyadic(3, -1))
+        mass = state.mass_allocated
+        assert (mass.mantissa, mass.exponent) == (3, -1)
+        report = check_invariants(state)
+        assert report.mass_matches_ledger is False
+        assert report.failures() == ["mass_matches_ledger"]
+        state.mass_allocated = Dyadic(0)
+        assert check_invariants(state).ok
 
 
 class TestAllocateAll:
@@ -163,6 +211,14 @@ class TestRequestParsing:
         with pytest.raises(ValueError):
             parse_request_lines(["2\t012"])
 
+    @pytest.mark.parametrize("length", ["1_2", "+3", "\u0661\u0662", "\u00b2", "-0"])
+    def test_length_must_be_ascii_digits(self, length):
+        with pytest.raises(ValueError, match="^line 2: length "):
+            parse_request_lines(["2\t-", f"{length}\t-"])
+
+    def test_padded_length_parses(self):
+        assert parse_request_lines([" 12 \t-", "007\t1"]) == [(12, ""), (7, "1")]
+
 
 # ---------------------------------------------------------------------------
 # Differential check against the linear-scan allocator that the binary-search
@@ -253,6 +309,26 @@ class TestDifferentialAgainstLinearScan:
     ])
     def test_extend_prefix_matches_reference(self, stem, target):
         assert extend_prefix(stem, target) == reference_extend_prefix(stem, target)
+
+    def test_extend_prefix_matches_reference_on_short_stems(self):
+        stems = list(takewhile(lambda w: len(w) <= 6, iter_length_lex()))
+        assert len(stems) == 127
+        for stem in stems:
+            for target in range(len(stem), len(stem) + 7):
+                assert extend_prefix(stem, target) == \
+                    reference_extend_prefix(stem, target), (stem, target)
+
+    def test_refusals_come_before_any_state(self, monkeypatch):
+        def no_state(*args, **kwargs):
+            raise AssertionError("extend_prefix built a state")
+
+        monkeypatch.setattr(codespace, "AllocatorState", no_state)
+        with pytest.raises(TargetTooShort):
+            extend_prefix("001", 2)
+        with pytest.raises(TypeError, match="a binary word is a str"):
+            extend_prefix(("0", "1"), 4)
+        with pytest.raises(AssertionError, match="built a state"):
+            extend_prefix("001", 5)
 
     @pytest.mark.parametrize("stem, target", [("", -1), ("01", 1), ("0110", 0)])
     def test_target_too_short_on_both(self, stem, target):
