@@ -9,6 +9,11 @@ staircase converges to the same limit as the sequence.  The step lengths
 always satisfy the unit mass bound, so they can be fed straight into the
 codeword allocator; the resulting machine's domain carries measure exactly
 ``r_k``.
+
+The loops compute on exact integers: each term as its numerator/denominator
+pair and each partial sum as a raw ``(mantissa, exponent)`` pair, compared
+by cross-multiplication.  The values returned are still ``Fraction`` terms
+and canonical ``Dyadic`` partial sums.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .codespace import allocate_all
 from .errors import InvalidSequence, SequenceExhausted
-from .exact import Dyadic, DYADIC_ZERO, ceil_neg_log2, as_fraction, pow2_neg
+from .exact import Dyadic, _ceil_neg_log2, as_fraction
 from .machines import MachineTable
 
 
@@ -48,11 +53,14 @@ class RationalSeq:
                     f"sequence ended after {len(self._cache)} terms, "
                     f"{k} were requested") from None
             term = as_fraction(raw)
-            if not 0 < term < 1:
+            p, q = term.numerator, term.denominator
+            if not 0 < p < q:
                 raise InvalidSequence(f"term {term} is outside (0, 1)")
-            if self._cache and term <= self._cache[-1]:
-                raise InvalidSequence(
-                    f"term {term} does not increase past {self._cache[-1]}")
+            if self._cache:
+                last = self._cache[-1]
+                if p * last.denominator <= last.numerator * q:
+                    raise InvalidSequence(
+                        f"term {term} does not increase past {last}")
             self._cache.append(term)
         return tuple(self._cache[:k])
 
@@ -69,41 +77,57 @@ class DyadicDecomposition:
 
         Checks, for each step i: the recurrence ``r_i = r_{i-1} + 2**-n_i``,
         the strict gap ``r_{i-1} < a_i``, and the sandwich
-        ``(a_i + r_{i-1}) / 2 <= r_i <= a_i``.
+        ``(a_i + r_{i-1}) / 2 <= r_i <= a_i``.  Each step compares integers
+        scaled to the common denominator ``2**s``, ``s`` the largest exponent
+        in play; a term ``p/q`` enters as ``p << s`` against ``r * q``.
         """
         if not len(self.lengths) == len(self.partials) == len(terms):
             raise ValueError("decomposition and term prefix lengths differ")
-        prev = DYADIC_ZERO
+        pm, pe = 0, 0                        # r_{i-1} = pm / 2**pe
         for i, (n, r, a) in enumerate(zip(self.lengths, self.partials, terms), 1):
             a = as_fraction(a)
-            if prev + pow2_neg(n) != r:
+            if n < 0:
+                raise ValueError("exponent must be a natural number")
+            rm, re = r.mantissa, r.exponent
+            s = max(pe, n, re, 0)
+            prev, cur = pm << (s - pe), rm << (s - re)
+            if prev + (1 << (s - n)) != cur:
                 raise ValueError(f"step {i}: recurrence broken")
-            if not prev.as_fraction() < a:
+            p, q = a.numerator, a.denominator
+            top = p << s                     # a_i * q at scale 2**s
+            if not prev * q < top:
                 raise ValueError(f"step {i}: partial sum is not below the term")
-            r_frac = r.as_fraction()
-            if not (a + prev.as_fraction()) / 2 <= r_frac <= a:
+            if not top + prev * q <= cur * q << 1 <= top << 1:
                 raise ValueError(f"step {i}: sandwich bound broken")
-            prev = r
+            pm, pe = rm, re
 
 
 def dyadic_decompose(seq: RationalSeq, k: int) -> DyadicDecomposition:
     """Decompose the first ``k`` terms into a verified dyadic staircase.
 
     Each step takes ``n_i`` as the least natural with ``2**-n_i`` at most the
-    gap ``a_i - r_{i-1}``, then advances ``r_i = r_{i-1} + 2**-n_i``.
+    gap ``a_i - r_{i-1}``, then advances ``r_i = r_{i-1} + 2**-n_i``.  The
+    running sum is the raw pair ``rm / 2**e``, ``e`` the longest step so far;
+    a ``Dyadic`` is built only for each returned partial.
     """
     terms = seq.prefix(k)
     lengths: list[int] = []
     partials: list[Dyadic] = []
-    r = DYADIC_ZERO
+    rm = e = 0
     for a in terms:
-        gap = a - r.as_fraction()
+        p, q = a.numerator, a.denominator
+        gap = (p << e) - rm * q              # a - r, times q << e
         if gap <= 0:
-            raise InvalidSequence(f"term {a} does not clear the partial sum {r}")
-        n = ceil_neg_log2(gap)
-        r = r + pow2_neg(n)
+            raise InvalidSequence(
+                f"term {a} does not clear the partial sum {Dyadic(rm, e)}")
+        n = _ceil_neg_log2(gap, q << e)
+        if n > e:
+            rm = (rm << (n - e)) + 1
+            e = n
+        else:
+            rm += 1 << (e - n)
         lengths.append(n)
-        partials.append(r)
+        partials.append(Dyadic(rm, e))
     decomposition = DyadicDecomposition(tuple(lengths), tuple(partials))
     decomposition.verify(terms)
     return decomposition

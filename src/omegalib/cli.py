@@ -25,6 +25,14 @@ from .exact import (Dyadic, as_fraction, format_rational, measure_of_lengths,
 USAGE_ERROR = 2
 DOMAIN_ERROR = 3
 
+# Caps on what one input may ask for, checked before any output.  Exact
+# output is converted to decimal text in quadratic time: ``str(1 << e)``
+# takes about 0.015 s at e = 10**5, and ``int()`` about 0.065 s on 10**5
+# digits.  Request and program lengths are capped in the parsers
+# (``bits.MAX_TEXT_LENGTH``, ``codespace.MAX_LENGTH_DIGITS``).
+MAX_LEVEL = 100_000             # --n of test, --m of dominate
+MAX_RATIONAL_CHARS = 20_000     # one p/q line, after stripping
+
 
 def _read_lines(path: str) -> list[str]:
     if path == "-":
@@ -45,14 +53,26 @@ def _read_table(path: str, label: str = "") -> machines.MachineTable:
 
 def _read_rationals(path: str) -> list[Fraction]:
     """The ``p/q`` lines of a file as fractions, skipping blank lines."""
-    return [parse_rational(line) for line in _read_lines(path) if line.strip()]
+    values = []
+    for lineno, line in enumerate(_read_lines(path), start=1):
+        text = line.strip()
+        if len(text) > MAX_RATIONAL_CHARS:
+            raise ValueError(f"line {lineno}: {len(text)} characters, above "
+                             f"the cap of {MAX_RATIONAL_CHARS} per rational")
+        if text:
+            values.append(parse_rational(text))
+    return values
+
+
+def _check_level(flag: str, level: int) -> None:
+    if level > MAX_LEVEL:
+        raise ValueError(f"{flag} {level} is above the cap of {MAX_LEVEL}")
 
 
 def _exact(value, approx: bool) -> str:
-    frac = as_fraction(value)
-    text = format_rational(frac)
+    text = format_rational(value)
     if approx:
-        text += f"\t~{float(frac):.6f}"
+        text += f"\t~{float(as_fraction(value)):.6f}"
     return text
 
 
@@ -106,6 +126,8 @@ def _cmd_compose(args) -> int:
 
 
 def _cmd_dominate(args) -> int:
+    if args.m is not None:
+        _check_level("--m", args.m)
     a_terms = _read_rationals(args.a)
     b_terms = _read_rationals(args.b)
     if args.m is not None:
@@ -126,6 +148,7 @@ def _cmd_dominate(args) -> int:
 
 
 def _cmd_test(args) -> int:
+    _check_level("--n", args.n)
     a = ce_real.RationalSeq(_read_rationals(args.a))
     b = ce_real.RationalSeq(_read_rationals(args.b))
     stage = solovay.build_test(a, b, args.n, args.depth)
@@ -216,6 +239,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Exact values outgrow CPython's int<->str digit limit; the caps bound
+    # sizes instead.  The limit is lifted for this run only, because main
+    # also runs in-process.  Options are parsed under the limit.
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    if get_limit is not None:
+        previous = get_limit()
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except OmegalibError as exc:
@@ -224,6 +254,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    finally:
+        if get_limit is not None:
+            sys.set_int_max_str_digits(previous)
 
 
 if __name__ == "__main__":

@@ -23,7 +23,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .bits import parse_word, prefix_free, validate_bits
+from .bits import MAX_TEXT_LENGTH, parse_word, prefix_free, validate_bits
 from .errors import InsufficientMass, TargetTooShort
 from .exact import DYADIC_ZERO, Dyadic
 
@@ -179,8 +179,17 @@ def check_invariants(state: AllocatorState,
     )
 
 
+# Digits a request-length field may have, leading zeros included; the field
+# is converted with int() only below this.
+MAX_LENGTH_DIGITS = 100
+
+
 def parse_request_lines(lines: Iterable[str]) -> list[tuple[int, str]]:
-    """Parse ``n<TAB>y`` request lines; ``y`` is ``-`` for the empty output."""
+    """Parse ``n<TAB>y`` request lines; ``y`` is ``-`` for the empty output.
+
+    A length field of more than ``MAX_LENGTH_DIGITS`` digits, or a length
+    above ``bits.MAX_TEXT_LENGTH``, raises ValueError naming the line.
+    """
     requests: list[tuple[int, str]] = []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -192,5 +201,12 @@ def parse_request_lines(lines: Iterable[str]) -> list[tuple[int, str]]:
         length = fields[0].strip()
         if not (length.isascii() and length.isdigit()):
             raise ValueError(f"line {lineno}: length {fields[0]!r} is not a natural number")
-        requests.append((int(length), parse_word(fields[1])))
+        if len(length) > MAX_LENGTH_DIGITS:
+            raise ValueError(f"line {lineno}: length has {len(length)} digits, "
+                             f"above the cap of {MAX_LENGTH_DIGITS}")
+        n = int(length)
+        if n > MAX_TEXT_LENGTH:
+            raise ValueError(f"line {lineno}: length {n} is above the cap "
+                             f"of {MAX_TEXT_LENGTH}")
+        requests.append((n, parse_word(fields[1])))
     return requests

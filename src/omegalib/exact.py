@@ -151,7 +151,11 @@ def ceil_neg_log2(q: RationalLike) -> int:
     frac = as_fraction(q)
     if frac <= 0:
         raise NonPositiveInput(f"need a positive rational, got {frac}")
-    num, den = frac.numerator, frac.denominator
+    return _ceil_neg_log2(frac.numerator, frac.denominator)
+
+
+def _ceil_neg_log2(num: int, den: int) -> int:
+    """``ceil_neg_log2(num / den)`` for positive ints, in lowest terms or not."""
     # num << n has den's bit length, so it is below den at most once more.
     n = max(den.bit_length() - num.bit_length(), 0)
     return n + 1 if num << n < den else n
@@ -204,7 +208,15 @@ class Interval:
 
 
 def format_rational(q: RationalLike) -> str:
-    """Serialize a rational as ``p/q`` (always with an explicit denominator)."""
+    """Serialize a rational as ``p/q`` (always with an explicit denominator).
+
+    A ``Dyadic`` is written from its mantissa and exponent without a
+    ``Fraction``: being canonical, ``m/2**e`` is already in lowest terms.
+    """
+    if isinstance(q, Dyadic):
+        if q.exponent >= 0:
+            return f"{q.mantissa}/{1 << q.exponent}"
+        return f"{q.mantissa << -q.exponent}/1"
     frac = as_fraction(q)
     return f"{frac.numerator}/{frac.denominator}"
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterable, Sequence
 
-from .bits import (bit_value, format_word, iter_length_lex, parse_word,
-                   prefix_free, validate_bits)
+from .bits import (MAX_TEXT_LENGTH, bit_value, format_word, iter_length_lex,
+                   parse_word, prefix_free, validate_bits)
 from .errors import StageOutOfRange
 from .exact import DYADIC_ZERO, Dyadic, measure_of_lengths, pow2_neg
 
@@ -174,7 +174,11 @@ def _successor(word: str) -> str:
 
 
 def parse_table_lines(lines: Iterable[str]) -> MachineTable:
-    """Parse ``program<TAB>output`` lines; ``-`` stands for the empty word."""
+    """Parse ``program<TAB>output`` lines; ``-`` stands for the empty word.
+
+    A program longer than ``bits.MAX_TEXT_LENGTH`` raises ValueError naming
+    the line.
+    """
     entries: list[tuple[str, str]] = []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -184,7 +188,11 @@ def parse_table_lines(lines: Iterable[str]) -> MachineTable:
         if len(fields) != 2:
             raise ValueError(
                 f"line {lineno}: expected 'program<TAB>output', got {line!r}")
-        entries.append((parse_word(fields[0]), parse_word(fields[1])))
+        program = parse_word(fields[0])
+        if len(program) > MAX_TEXT_LENGTH:
+            raise ValueError(f"line {lineno}: program length {len(program)} "
+                             f"is above the cap of {MAX_TEXT_LENGTH}")
+        entries.append((program, parse_word(fields[1])))
     return MachineTable(tuple(entries))
 
 

@@ -8,7 +8,10 @@ interval, in which case the stage stays empty.  Opened intervals are pairwise
 disjoint and their total measure telescopes to ``2**-n * b_last``, below the
 ``2**-n`` budget.  If the limit of ``a`` escapes every level's intervals,
 reading off the opened stages yields subsequences witnessing that ``b``'s
-increments are dominated by ``2**n`` times ``a``'s.
+increments are dominated by ``2**n`` times ``a``'s.  The construction
+computes on integer numerator/denominator pairs and builds each interval's
+right end as one ``Fraction`` over the common denominator; the stages hold
+``Fraction`` intervals.
 
 The module also carries the request-stream composition that realizes a
 halting-probability identity: interleaving one stream that re-requests a
@@ -54,22 +57,27 @@ def build_test(a: RationalSeq, b: RationalSeq, level: int, depth: int) -> TestSt
     """Construct one level of the interval test through ``depth`` stages."""
     if level < 0 or depth < 0:
         raise ValueError("level and depth are natural numbers")
-    a_terms = (Fraction(0),) + a.prefix(depth)
-    b_terms = (Fraction(0),) + b.prefix(depth)
-    shrink = pow2_neg(level).as_fraction()
+    a_terms = a.prefix(depth)
+    b_terms = b.prefix(depth)
     intervals: list[Interval | None] = []
     # Every opened interval starts at an earlier, smaller term of ``a``, so
     # ``a_i`` lies in one exactly when it is below the largest right end.
-    reach = Fraction(0)
-    last = 0
-    for i in range(1, depth + 1):
-        if a_terms[i] < reach:
+    reach_p, reach_q = 0, 1
+    sp, sq = 0, 1                        # b at the most recent opened stage
+    for a_i, b_i in zip(a_terms, b_terms):
+        ap, aq = a_i.numerator, a_i.denominator
+        if ap * reach_q < reach_p * aq:
             intervals.append(None)
             continue
-        iv = Interval(a_terms[i], a_terms[i] + shrink * (b_terms[i] - b_terms[last]))
-        intervals.append(iv)
-        reach = iv.hi  # iv.hi > a_i >= reach: the newest end is the largest
-        last = i
+        bp, bq = b_i.numerator, b_i.denominator
+        # a_i + 2**-level * (b_i - b_s) over the denominator aq*bq*sq << level
+        bq_sq = bq * sq
+        hi = Fraction((ap * bq_sq << level) + aq * (bp * sq - sp * bq),
+                      aq * bq_sq << level)
+        intervals.append(Interval(a_i, hi))
+        # hi > a_i >= reach: the newest end is the largest
+        reach_p, reach_q = hi.numerator, hi.denominator
+        sp, sq = bp, bq
     return TestStage(level=level, intervals=tuple(intervals))
 
 
@@ -89,8 +97,9 @@ class DominationWitness:
     def subsequences(self, a_terms: Sequence[Fraction],
                      b_terms: Sequence[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
         """The witness pair: ``a`` at opened stages, ``b`` one opened stage back."""
-        a_sub = [as_fraction(a_terms[j - 1]) for j in self.stage_indices]
-        shifted = (0,) + self.stage_indices[:-1]
+        indices = self.stage_indices
+        a_sub = [as_fraction(a_terms[j - 1]) for j in indices]
+        shifted = ((0,) + indices)[:len(indices)]
         b_sub = [Fraction(0) if j == 0 else as_fraction(b_terms[j - 1])
                  for j in shifted]
         return a_sub, b_sub

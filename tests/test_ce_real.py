@@ -1,6 +1,8 @@
 """Dyadic staircases: decomposition identities and machine conversion."""
 
+import random
 from fractions import Fraction
+from typing import Iterable, Iterator, Sequence
 
 import pytest
 
@@ -8,7 +10,9 @@ from omegalib.bits import prefix_free
 from omegalib.ce_real import (DyadicDecomposition, RationalSeq,
                               dyadic_decompose, to_machine)
 from omegalib.errors import InvalidSequence, SequenceExhausted
-from omegalib.exact import Dyadic, parse_rational
+from omegalib.exact import (DYADIC_ZERO, Dyadic, as_fraction, ceil_neg_log2,
+                            parse_rational, pow2_neg)
+from omegalib.verify import random_increasing_rationals
 
 
 class TestRationalSeq:
@@ -80,6 +84,17 @@ class TestDecompose:
         with pytest.raises(ValueError):
             broken.verify([Fraction(1, 2), Fraction(2, 3)])
 
+    def test_gap_that_does_not_clear(self):
+        class Stub:                 # a sequence that skipped validation
+            def prefix(self, k):
+                return (Fraction(1, 2), Fraction(1, 2))
+        with pytest.raises(InvalidSequence) as new:
+            dyadic_decompose(Stub(), 2)
+        with pytest.raises(InvalidSequence) as old:
+            dyadic_decompose_fraction(Stub(), 2)
+        assert str(new.value) == str(old.value) == (
+            "term 1/2 does not clear the partial sum 1/2^1")
+
 
 class TestToMachine:
     def test_measure_equals_final_partial(self):
@@ -101,3 +116,207 @@ class TestToMachine:
         terms = [Fraction(i, 101) for i in (3, 10, 31, 41, 59, 97)]
         table = to_machine(RationalSeq(terms), len(terms))
         assert prefix_free(table.domain)
+
+
+# --- The Fraction implementations the integer ones replaced, kept literally
+# as differential references.
+
+class FractionRationalSeq:
+    """``RationalSeq`` as it was, comparing terms as Fractions."""
+
+    def __init__(self, source: Iterable[Fraction | int | Dyadic]):
+        self._iter: Iterator = iter(source)
+        self._cache: list[Fraction] = []
+
+    def prefix(self, k: int) -> tuple[Fraction, ...]:
+        """The first ``k`` terms; SequenceExhausted if fewer are available."""
+        if k < 0:
+            raise ValueError("prefix length must be a natural number")
+        while len(self._cache) < k:
+            try:
+                raw = next(self._iter)
+            except StopIteration:
+                raise SequenceExhausted(
+                    f"sequence ended after {len(self._cache)} terms, "
+                    f"{k} were requested") from None
+            term = as_fraction(raw)
+            if not 0 < term < 1:
+                raise InvalidSequence(f"term {term} is outside (0, 1)")
+            if self._cache and term <= self._cache[-1]:
+                raise InvalidSequence(
+                    f"term {term} does not increase past {self._cache[-1]}")
+            self._cache.append(term)
+        return tuple(self._cache[:k])
+
+
+def verify_fraction(self, terms: Sequence[Fraction]) -> None:
+    """``DyadicDecomposition.verify`` as it was, on Fractions and Dyadics."""
+    if not len(self.lengths) == len(self.partials) == len(terms):
+        raise ValueError("decomposition and term prefix lengths differ")
+    prev = DYADIC_ZERO
+    for i, (n, r, a) in enumerate(zip(self.lengths, self.partials, terms), 1):
+        a = as_fraction(a)
+        if prev + pow2_neg(n) != r:
+            raise ValueError(f"step {i}: recurrence broken")
+        if not prev.as_fraction() < a:
+            raise ValueError(f"step {i}: partial sum is not below the term")
+        r_frac = r.as_fraction()
+        if not (a + prev.as_fraction()) / 2 <= r_frac <= a:
+            raise ValueError(f"step {i}: sandwich bound broken")
+        prev = r
+
+
+def dyadic_decompose_fraction(seq, k: int) -> DyadicDecomposition:
+    """``dyadic_decompose`` as it was, on Fractions and Dyadics."""
+    terms = seq.prefix(k)
+    lengths: list[int] = []
+    partials: list[Dyadic] = []
+    r = DYADIC_ZERO
+    for a in terms:
+        gap = a - r.as_fraction()
+        if gap <= 0:
+            raise InvalidSequence(f"term {a} does not clear the partial sum {r}")
+        n = ceil_neg_log2(gap)
+        r = r + pow2_neg(n)
+        lengths.append(n)
+        partials.append(r)
+    decomposition = DyadicDecomposition(tuple(lengths), tuple(partials))
+    verify_fraction(decomposition, terms)
+    return decomposition
+
+
+def outcome(call, *args):
+    """A call's result, or its exception's type and message."""
+    try:
+        return call(*args)
+    except Exception as exc:          # compared, never swallowed
+        return type(exc), str(exc)
+
+
+def wide_increasing_rationals(rng, count):
+    """Increasing rationals in (0, 1), each over its own 200-260 digit
+    denominator: ``c / 10**6`` for distinct ``c``, moved by under 10**-49."""
+    cuts = sorted(rng.sample(range(1, 10**6), count))
+    dens = [rng.randrange(10**200, 10**260) for _ in cuts]
+    return [Fraction(c * d // 10**6 + rng.randrange(10**150), d)
+            for c, d in zip(cuts, dens)]
+
+
+def differential_families():
+    for ceiling in (3, 1000):
+        rng = random.Random(ceiling)
+        for _ in range(150):
+            yield random_increasing_rationals(rng, rng.randint(1, 60), ceiling)
+    rng = random.Random(200)
+    for _ in range(60):
+        yield wide_increasing_rationals(rng, rng.randint(1, 30))
+
+
+class TestFractionDifferential:
+    def test_prefix_and_decompose_match(self):
+        for terms in differential_families():
+            k = len(terms)
+            assert RationalSeq(terms).prefix(k) == FractionRationalSeq(terms).prefix(k)
+            new = dyadic_decompose(RationalSeq(terms), k)
+            old = dyadic_decompose_fraction(FractionRationalSeq(terms), k)
+            assert new == old, terms
+            assert all(type(p) is Dyadic for p in new.partials)
+
+    @pytest.mark.parametrize("terms", [
+        [Fraction(0)], [Fraction(1)], [Fraction(-1, 3)], [Fraction(5, 4)],
+        [Fraction(1, 3), Fraction(1, 1)], [Fraction(1, 3), Fraction(1, 3)],
+        [Fraction(1, 3), Fraction(1, 4)], [Fraction(1, 2), 0],
+        [Fraction(1, 2), Dyadic(1, 2)], [Fraction(1, 10**300), Fraction(1, 10**301)],
+        [Fraction(2, 3), Fraction(2 * 10**250 - 1, 3 * 10**250)]])
+    def test_invalid_sequences_fail_alike(self, terms):
+        for k in (1, len(terms)):
+            new = outcome(dyadic_decompose, RationalSeq(terms), k)
+            old = outcome(dyadic_decompose_fraction, FractionRationalSeq(terms), k)
+            assert new == old
+        assert new[0] is InvalidSequence
+
+    def test_random_corruptions_fail_alike(self):
+        rng = random.Random(7)
+        seen = set()
+        for terms in differential_families():
+            d = dyadic_decompose(RationalSeq(terms), len(terms))
+            for _ in range(10):
+                lengths, partials, bent = list(d.lengths), list(d.partials), list(terms)
+                i = rng.randrange(len(terms))
+                kind = rng.randrange(4)
+                if kind == 0:       # a step length moved, partials kept consistent
+                    lengths[i] = rng.choice((lengths[i] - 1, lengths[i] + 1, -1))
+                    if lengths[i] >= 0:
+                        r = partials[i - 1] if i else DYADIC_ZERO
+                        for j in range(i, len(lengths)):
+                            r = r + pow2_neg(lengths[j])
+                            partials[j] = r
+                elif kind == 1:     # one partial sum moved
+                    r = partials[i]
+                    step = pow2_neg(rng.randint(0, r.exponent + 3))
+                    partials[i] = r - step if step < r else r + step
+                elif kind == 2:     # one term moved, up or down
+                    bent[i] += Fraction(rng.choice((-1, 1)), rng.choice(
+                        (2, 1 << rng.randint(1, 2 * d.lengths[i] + 2))))
+                else:
+                    bent.pop(i)
+                broken = DyadicDecomposition(tuple(lengths), tuple(partials))
+                new = outcome(broken.verify, bent)
+                assert new == outcome(verify_fraction, broken, bent)
+                seen.add(new and new[1].split(": ")[-1])
+        assert seen == {None, "recurrence broken", "partial sum is not below the term",
+                        "sandwich bound broken", "exponent must be a natural number",
+                        "decomposition and term prefix lengths differ"}
+
+
+H, Q, E = Fraction(1, 2), Fraction(3, 4), Fraction(7, 8)
+D = DyadicDecomposition
+
+
+class TestVerifyFailureModes:
+    """Each way ``verify`` can fail, with its exact message, run against the
+    integer ``verify`` and the Fraction reference alike."""
+
+    CASES = {
+        "valid": (D((1, 2, 3), (Dyadic(1, 1), Dyadic(3, 2), Dyadic(7, 3))),
+                  [H, Q, E], None),
+        "recurrence at step 1": (D((1,), (Dyadic(1, 2),)), [H],
+                                 "step 1: recurrence broken"),
+        "recurrence at step 3": (D((1, 2, 3), (Dyadic(1, 1), Dyadic(3, 2), Dyadic(15, 4))),
+                                 [H, Q, E], "step 3: recurrence broken"),
+        "strict gap": (D((1, 2), (Dyadic(1, 1), Dyadic(3, 2))), [H, H],
+                       "step 2: partial sum is not below the term"),
+        "sandwich below": (D((3,), (Dyadic(1, 3),)), [Q],
+                           "step 1: sandwich bound broken"),
+        "sandwich above": (D((1,), (Dyadic(1, 1),)), [Fraction(1, 3)],
+                           "step 1: sandwich bound broken"),
+        "fewer partials": (D((1, 2), (Dyadic(1, 1),)), [H, Q],
+                           "decomposition and term prefix lengths differ"),
+        "fewer terms": (D((1, 2), (Dyadic(1, 1), Dyadic(3, 2))), [H],
+                        "decomposition and term prefix lengths differ"),
+        "negative length": (D((-1,), (Dyadic(1, -1),)), [H],
+                            "exponent must be a natural number"),
+        "negative exponent": (D((0, 0), (Dyadic(1), Dyadic(1, -1))), [1, 2], None),
+        "negative exponent recurrence": (D((0, 0), (Dyadic(1), Dyadic(3, -1))),
+                                         [1, 2], "step 2: recurrence broken"),
+        "negative exponent sandwich": (D((0, 0), (Dyadic(1), Dyadic(1, -1))),
+                                       [1, Fraction(3, 2)],
+                                       "step 2: sandwich bound broken"),
+        "int terms": (D((0,), (Dyadic(1),)), [1], None),
+        "Dyadic terms": (D((1, 2), (Dyadic(1, 1), Dyadic(3, 2))),
+                         [Dyadic(1, 1), Dyadic(3, 2)], None),
+        "Dyadic term sandwich": (D((1,), (Dyadic(1, 1),)), [Dyadic(1, 2)],
+                                 "step 1: sandwich bound broken"),
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    @pytest.mark.parametrize("verify", [D.verify, verify_fraction],
+                             ids=["integer", "fraction"])
+    def test_case(self, verify, name):
+        decomposition, terms, message = self.CASES[name]
+        if message is None:
+            verify(decomposition, terms)
+        else:
+            with pytest.raises(ValueError) as exc:
+                verify(decomposition, terms)
+            assert str(exc.value) == message

@@ -2,10 +2,13 @@
 
 import contextlib
 import io
+import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from omegalib import ce_real
 from omegalib.cli import build_parser, main
 
 
@@ -243,9 +246,139 @@ class TestRationalGrammar:
         assert run(capsys, argv(blank)) == expected
 
 
-# Digit runs stay at three digits or fewer, so no request length or stage
-# count reaches the allocator's quadratic-memory spine.  Besides arbitrary
-# lines, well-formed rational and two-column lines make valid inputs common.
+# 2**14000 has 4,215 decimal digits and 2**14400 has 4,335: just under and
+# just over CPython's default 4,300-digit int<->str limit.
+UNDER, OVER = 14_000, 14_400
+
+
+class TestPastDigitLimit:
+    """Exact output and input beyond CPython's default int<->str limit, run
+    under that limit; only the expected text is built without it."""
+
+    @pytest.mark.parametrize("n", [UNDER, OVER])
+    def test_allocate(self, capsys, monkeypatch, int_text, n):
+        monkeypatch.setattr("sys.stdin", io.StringIO(f"{n}\t-\n"))
+        expected = "0" * n + f"\t-\nmu\t1/{int_text(1 << n)}\n"
+        assert run(capsys, ["allocate", "-"]) == (0, expected, "")
+
+    @pytest.mark.parametrize("n", [UNDER, OVER])
+    def test_omega(self, tmp_path, capsys, int_text, n):
+        table = write(tmp_path, "u.tsv", f"1\t-\n{'0' * n}\t1\n")
+        expected = f"1\t1/2\n2\t{int_text((1 << (n - 1)) + 1)}/{int_text(1 << n)}\n"
+        assert run(capsys, ["omega", table]) == (0, expected, "")
+
+    @pytest.mark.parametrize("n", [UNDER, OVER])
+    def test_interval_test(self, tmp_path, capsys, int_text, n):
+        a = write(tmp_path, "a.txt", "1/4\n")
+        b = write(tmp_path, "b.txt", "1/8\n")
+        hi = Fraction(1, 4) + Fraction(1, 8 << n)
+        expected = f"1\t1/4\t{int_text(hi.numerator)}/{int_text(hi.denominator)}\n"
+        assert run(capsys, ["test", a, b, "--n", str(n), "--depth", "1"]) == (
+            0, expected, "")
+
+    @pytest.mark.parametrize("power", [9_000, 9_020])
+    def test_decompose(self, tmp_path, capsys, int_text, power):
+        # 3**9000 has 4,295 digits and 3**9020 has 4,304.
+        den = 3 ** power
+        sequence = write(tmp_path, "seq.txt", f"1/{int_text(den)}\n")
+        n = den.bit_length()            # least n with 2**n >= 3**power
+        assert run(capsys, ["decompose", sequence, "--k", "1"]) == (
+            0, f"{n}\t1/{int_text(1 << n)}\n", "")
+
+
+class TestInputCaps:
+    """Past a cap: exit 2, no output, and a message naming the cap."""
+
+    @pytest.mark.parametrize("field, message", [
+        ("16385", "line 2: length 16385 is above the cap of 16384"),
+        ("9" * 100, f"line 2: length {'9' * 100} is above the cap of 16384"),
+        ("0" * 101, "line 2: length has 101 digits, above the cap of 100"),
+        ("7" * 5000, "line 2: length has 5000 digits, above the cap of 100"),
+    ], ids=["value", "100 digits", "101 digits", "5000 digits"])
+    def test_request_length(self, capsys, monkeypatch, field, message):
+        monkeypatch.setattr("sys.stdin", io.StringIO(f"1\t-\n{field}\t-\n"))
+        assert run(capsys, ["allocate", "-"]) == (2, "", f"error: {message}\n")
+
+    def test_request_length_digits_at_cap(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("0" * 98 + "10\t-\n"))
+        assert run(capsys, ["allocate", "-"]) == (0, "0000000000\t-\nmu\t1/1024\n", "")
+
+    def test_program_length(self, tmp_path, capsys, int_text):
+        at_cap = write(tmp_path, "at.tsv", "0" * 16384 + "\t-\n")
+        assert run(capsys, ["omega", at_cap]) == (0, f"1\t1/{int_text(1 << 16384)}\n", "")
+        over = write(tmp_path, "over.tsv", "1\t-\n" + "0" * 16385 + "\t-\n")
+        expected = "error: line 2: program length 16385 is above the cap of 16384\n"
+        assert run(capsys, ["omega", over]) == (2, "", expected)
+        assert run(capsys, ["compose", over, at_cap]) == (2, "", expected)
+
+    @pytest.mark.parametrize("command", ["decompose", "test", "dominate"])
+    def test_rational_line(self, tmp_path, capsys, command):
+        long = write(tmp_path, "long.txt", "1/3\n 1/" + "7" * 19_998 + " \n")
+        over = write(tmp_path, "over.txt", "1/3\n1/" + "7" * 19_998 + "3\n")
+        b = write(tmp_path, "b.txt", "1/8\n1/4\n")
+        argv = {"decompose": lambda a: ["decompose", a, "--k", "2"],
+                "test": lambda a: ["test", a, b, "--n", "1", "--depth", "2"],
+                "dominate": lambda a: ["dominate", a, b, "--m", "1"]}[command]
+        code, out, err = run(capsys, argv(long))
+        assert (code, out) == (3, "")   # 20,000 characters: read, then not increasing
+        assert err.startswith("error: term 1/777")
+        assert run(capsys, argv(over)) == (
+            2, "", "error: line 2: 20001 characters, above the cap of 20000 "
+                   "per rational\n")
+
+    @pytest.mark.parametrize("argv", [["test", "--n", "100001", "--depth", "1"],
+                                      ["dominate", "--m", "100001"]])
+    def test_level(self, tmp_path, capsys, argv):
+        a = write(tmp_path, "a.txt", "1/4\n")
+        b = write(tmp_path, "b.txt", "1/8\n")
+        flag = argv[1]
+        assert run(capsys, [argv[0], a, b] + argv[1:]) == (
+            2, "", f"error: {flag} 100001 is above the cap of 100000\n")
+
+    def test_level_at_cap(self, tmp_path, capsys):
+        a = write(tmp_path, "a.txt", "1/4\n1/2\n")
+        b = write(tmp_path, "b.txt", "1/8\n1/4\n")
+        assert run(capsys, ["dominate", a, b, "--m", "100000"]) == (0, "100000\t1,2\n", "")
+
+
+class TestDigitLimitRestored:
+    """main lifts the int<->str limit for its own run only."""
+
+    @pytest.fixture
+    def limit(self):
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(5000)
+        try:
+            yield 5000
+        finally:
+            sys.set_int_max_str_digits(previous)
+
+    def test_restored_after_return(self, tmp_path, capsys, limit):
+        sequence = write(tmp_path, "seq.txt", "1/2\n")
+        assert run(capsys, ["decompose", sequence, "--k", "1"])[0] == 0
+        assert sys.get_int_max_str_digits() == limit
+        assert run(capsys, ["decompose", sequence, "--k", "2"])[0] == 3
+        assert sys.get_int_max_str_digits() == limit
+
+    def test_restored_after_raise(self, tmp_path, capsys, monkeypatch, limit):
+        seen = []
+
+        def fail(seq, k):
+            seen.append(sys.get_int_max_str_digits())
+            raise RuntimeError("boom")
+        monkeypatch.setattr(ce_real, "dyadic_decompose", fail)
+        sequence = write(tmp_path, "seq.txt", "1/2\n")
+        with pytest.raises(RuntimeError):
+            main(["decompose", sequence, "--k", "1"])
+        assert seen == [0]
+        assert sys.get_int_max_str_digits() == limit
+
+
+# Short digit runs stay at three digits or fewer, so no request length or
+# stage count reaches the allocator's quadratic-memory spine.  Long runs
+# straddle the 4,300-digit int<->str limit, as numbers and as programs whose
+# mass needs that many digits.  Besides arbitrary lines, well-formed
+# rational and two-column lines make valid inputs common.
 _small = st.integers(0, 999).map(str)
 _word = st.one_of(st.text(alphabet="01", min_size=1, max_size=3), st.just("-"))
 _arbitrary = st.builds(
@@ -255,8 +388,14 @@ _arbitrary = st.builds(
                                        max_size=2)), max_size=3))
 _rational = st.builds("{}/{}".format, _small, _small)
 _two_column = st.builds("{}\t{}".format, st.one_of(_small, _word), _word)
+_long = st.builds(lambda lead, n, fill: lead + fill * n, st.sampled_from("19"),
+                  st.integers(4_280, 4_420), st.sampled_from("037"))
+_long_line = st.one_of(
+    st.builds("{}/{}".format, st.one_of(_small, _long), _long),
+    st.builds("{}\t{}".format, st.one_of(
+        _long, st.integers(14_200, 14_400).map("0".__mul__)), _word))
 _file = st.one_of(*(st.lists(line, max_size=5).map("\n".join) for line in
-                    (st.one_of(_arbitrary, _rational, _two_column),
+                    (st.one_of(_arbitrary, _rational, _two_column, _long_line),
                      _rational, _two_column)))
 _number = st.integers(-9, 999).map(str)
 
@@ -305,6 +444,7 @@ class TestNoTraceback:
         code, _, err = result
         assert code in (0, 2, 3), (argv, result)
         assert "Traceback" not in err
+        assert "Exceeds the limit" not in err
         assert _run_quietly(argv) == result
 
 

@@ -212,6 +212,17 @@ class TestSerialization:
         assert parse_rational("3/10") == Fraction(3, 10)
         assert parse_rational("4") == 4
 
+    @pytest.mark.parametrize("d", [
+        Dyadic(0), Dyadic(1), Dyadic(5, 3), Dyadic(3, -1), Dyadic(7, -40),
+        Dyadic(1, 10_000), Dyadic(12345, 10_001), Dyadic(3, 30_000),
+        Dyadic(1, -20_000)])
+    def test_dyadic_text_matches_fraction_text(self, d, no_int_digit_limit):
+        assert format_rational(d) == format_rational(d.as_fraction())
+
+    @given(dyadics)
+    def test_dyadic_text_matches_fraction_text_property(self, d):
+        assert format_rational(d) == format_rational(d.as_fraction())
+
     def test_parse_rational_grammar(self):
         assert parse_rational(" -6/4 ") == Fraction(-3, 2)
         assert parse_rational("+7") == 7

@@ -6,14 +6,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from omegalib import solovay
 from omegalib.ce_real import RationalSeq
 from omegalib.errors import LengthMismatch, StageOutOfRange
 from omegalib.exact import Interval, parse_rational, pow2_neg
 from omegalib.machines import MachineTable, omega_approx
-from omegalib.solovay import (build_test, check_domination, extract_witness,
+from omegalib.solovay import (DominationWitness, build_test,
+                              check_domination, extract_witness,
                               interleave_requests, omega_rep_compose,
                               representation_partial)
-from omegalib.verify import random_increasing_rationals
+from omegalib.verify import check_test_family, random_increasing_rationals
 
 A_TERMS = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
 B_TERMS = (Fraction(1, 8), Fraction(1, 4), Fraction(3, 8))
@@ -107,6 +109,13 @@ class TestWitness:
         assert a_sub == [Fraction(1, 4), Fraction(1, 2)]
         assert b_sub == [Fraction(0), Fraction(1, 8)]
 
+    def test_empty_witness_has_empty_subsequences(self):
+        assert DominationWitness((), 2).subsequences([], []) == ([], [])
+        assert DominationWitness((), 0).subsequences(A_TERMS, B_TERMS) == ([], [])
+
+    def test_empty_test_family_passes(self):
+        assert check_test_family([], [], [1]) == []
+
     @given(a=increasing_terms(), b=increasing_terms(),
            exponent=st.integers(0, 4))
     def test_witness_always_dominates(self, a, b, exponent):
@@ -197,6 +206,46 @@ def build_test_any_scan(a, b, level, depth):
     return tuple(intervals)
 
 
+def build_test_fraction(a, b, level, depth):
+    """``build_test`` as it was before integer pairs: a Fraction ``reach``."""
+    if level < 0 or depth < 0:
+        raise ValueError("level and depth are natural numbers")
+    a_terms = (Fraction(0),) + a.prefix(depth)
+    b_terms = (Fraction(0),) + b.prefix(depth)
+    shrink = pow2_neg(level).as_fraction()
+    intervals = []
+    # Every opened interval starts at an earlier, smaller term of ``a``, so
+    # ``a_i`` lies in one exactly when it is below the largest right end.
+    reach = Fraction(0)
+    last = 0
+    for i in range(1, depth + 1):
+        if a_terms[i] < reach:
+            intervals.append(None)
+            continue
+        iv = Interval(a_terms[i], a_terms[i] + shrink * (b_terms[i] - b_terms[last]))
+        intervals.append(iv)
+        reach = iv.hi  # iv.hi > a_i >= reach: the newest end is the largest
+        last = i
+    return solovay.TestStage(level=level, intervals=tuple(intervals))
+
+
+def wide_increasing_rationals(rng, count):
+    """Increasing rationals in (0, 1), each over its own 200-260 digit
+    denominator: ``c / 10**6`` for distinct ``c``, moved by under 10**-49."""
+    cuts = sorted(rng.sample(range(1, 10**6), count))
+    dens = [rng.randrange(10**200, 10**260) for _ in cuts]
+    return [Fraction(c * d // 10**6 + rng.randrange(10**150), d)
+            for c, d in zip(cuts, dens)]
+
+
+def outcome(call, *args):
+    """A call's result, or its exception's type and message."""
+    try:
+        return call(*args)
+    except Exception as exc:          # compared, never swallowed
+        return type(exc), str(exc)
+
+
 class TestBuildTestDifferential:
     @pytest.mark.parametrize("step_ceiling", [3, 1000])
     def test_matches_any_scan(self, step_ceiling):
@@ -207,5 +256,29 @@ class TestBuildTestDifferential:
             b = random_increasing_rationals(rng, depth, step_ceiling)
             for level in range(6):
                 stage = build_test(seq(a), seq(b), level, depth)
+                assert stage == build_test_fraction(seq(a), seq(b), level, depth)
                 assert stage.intervals == build_test_any_scan(
                     seq(a), seq(b), level, depth), (a, b, level)
+
+    def test_matches_fraction_on_wide_denominators(self):
+        rng = random.Random(200)
+        for _ in range(60):
+            depth = rng.randint(1, 30)
+            a = wide_increasing_rationals(rng, depth)
+            b = wide_increasing_rationals(rng, depth)
+            for level in (0, 1, 7, 300):
+                stage = build_test(seq(a), seq(b), level, depth)
+                assert stage == build_test_fraction(seq(a), seq(b), level, depth)
+
+    @pytest.mark.parametrize("a, b", [
+        ([Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 8), Fraction(1, 4)]),
+        ([Fraction(1, 4), Fraction(1, 2)], [Fraction(1, 8), Fraction(1, 8)]),
+        ([Fraction(1, 4), Fraction(1)], [Fraction(1, 8), Fraction(1, 4)]),
+        ([Fraction(1, 4), Fraction(1, 2)], [Fraction(0), Fraction(1, 4)]),
+        ([Fraction(1, 4)], [Fraction(1, 8), Fraction(1, 4)]),
+    ])
+    def test_invalid_sequences_fail_alike(self, a, b):
+        for level, depth in ((1, 2), (-1, 2), (1, -1)):
+            new = outcome(build_test, seq(a), seq(b), level, depth)
+            assert new == outcome(build_test_fraction, seq(a), seq(b), level, depth)
+            assert isinstance(new, tuple), new
