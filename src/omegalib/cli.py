@@ -60,7 +60,10 @@ def _read_rationals(path: str) -> list[Fraction]:
             raise ValueError(f"line {lineno}: {len(text)} characters, above "
                              f"the cap of {MAX_RATIONAL_CHARS} per rational")
         if text:
-            values.append(parse_rational(text))
+            try:
+                values.append(parse_rational(text))
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
     return values
 
 

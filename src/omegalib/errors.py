@@ -17,10 +17,15 @@ class InsufficientMass(OmegalibError):
     """
 
     def __init__(self, length: int, index: int | None = None):
+        # ``args`` holds the constructor arguments, so copies and pickles
+        # rebuild the same exception; the message is formatted on demand.
+        super().__init__(length, index)
         self.length = length
         self.index = index
-        where = f" (request index {index})" if index is not None else ""
-        super().__init__(f"no free prefix can honour a length-{length} request{where}")
+
+    def __str__(self) -> str:
+        where = f" (request index {self.index})" if self.index is not None else ""
+        return f"no free prefix can honour a length-{self.length} request{where}"
 
 
 class TargetTooShort(OmegalibError):

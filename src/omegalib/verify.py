@@ -5,6 +5,13 @@ inputs and returns a list of failure descriptions (empty means pass).  The
 suite runners wire those checks to seeded random generators, so a given seed
 always reproduces the same verdicts.  The acceptance tests reuse the same
 check functions at their own sweep sizes.
+
+The random length generators keep one random-number contract: one
+``randint`` for the count, then one ``choice`` over the range of lengths that
+still fit per length drawn.  Each draw is constant work, and a seed gives the
+same family, and leaves the generator in the same state, as the earlier
+list-filtering draws did.  ``enumerate_kraft_multisets`` is one iterative
+walk with constant work per multiset.
 """
 
 from __future__ import annotations
@@ -30,19 +37,37 @@ SUITE_NAMES = ("kc", "oracle", "repce", "omega", "dominate", "mltest")
 # seeded generators
 # ---------------------------------------------------------------------------
 
+def _draw_fitting(rng: random.Random, scaled: int, max_count: int,
+                  max_len: int) -> list[int]:
+    """Up to ``randint(0, max_count)`` lengths in 1..max_len whose costs
+    ``2**(max_len - n)`` fit in ``scaled >= 0``, stopping when none fits.
+
+    The lengths that fit are the range ``max(1, max_len + 1 -
+    scaled.bit_length())..max_len``; ``choice`` over a ``range`` makes the
+    same single ``_randbelow`` call, and picks the same length, as over a list.
+    """
+    lengths: list[int] = []
+    for _ in range(rng.randint(0, max_count)):
+        shortest = max_len + 1 - scaled.bit_length()
+        if shortest < 1:
+            shortest = 1
+        if shortest > max_len:
+            break
+        n = rng.choice(range(shortest, max_len + 1))
+        lengths.append(n)
+        scaled -= 1 << (max_len - n)
+    return lengths
+
+
 def random_kraft_lengths(rng: random.Random, max_requests: int,
                          max_len: int) -> list[int]:
-    """A random length sequence with ``sum(2**-n) <= 1``, lengths in 1..max_len."""
-    budget = 1 << max_len
-    lengths: list[int] = []
-    for _ in range(rng.randint(0, max_requests)):
-        fitting = [n for n in range(1, max_len + 1) if (1 << (max_len - n)) <= budget]
-        if not fitting:
-            break
-        n = rng.choice(fitting)
-        lengths.append(n)
-        budget -= 1 << (max_len - n)
-    return lengths
+    """A random length sequence with ``sum(2**-n) <= 1``, lengths in 1..max_len.
+
+    Draws one ``randint(0, max_requests)`` for the count, then one ``choice``
+    over the range of lengths that still fit per length drawn, each in
+    constant work.
+    """
+    return _draw_fitting(rng, 1 << max_len, max_requests, max_len)
 
 
 def random_word(rng: random.Random, max_len: int) -> str:
@@ -74,34 +99,41 @@ def random_increasing_rationals(rng: random.Random, count: int,
 
 def random_gamma_lengths(rng: random.Random, budget: Fraction, max_count: int,
                          max_len: int = 16) -> list[int]:
-    """Random lengths whose mass fits inside ``budget`` exactly."""
+    """Random lengths whose mass fits inside ``budget`` exactly.
+
+    The same random-number contract as :func:`random_kraft_lengths`: one
+    ``randint(0, max_count)``, then one ``choice`` per length drawn, in
+    constant work each.  A budget below ``2**-max_len``, negative ones
+    included, draws nothing after the ``randint``.
+    """
     scaled = int(budget * (1 << max_len))
-    lengths: list[int] = []
-    for _ in range(rng.randint(0, max_count)):
-        fitting = [n for n in range(1, max_len + 1) if (1 << (max_len - n)) <= scaled]
-        if not fitting:
-            break
-        n = rng.choice(fitting)
-        lengths.append(n)
-        scaled -= 1 << (max_len - n)
-    return lengths
+    return _draw_fitting(rng, max(scaled, 0), max_count, max_len)
 
 
 def enumerate_kraft_multisets(max_len: int) -> Iterator[tuple[int, ...]]:
     """Every multiset of lengths in 0..max_len with ``sum(2**-n) <= 1``.
 
-    Yielded as non-decreasing tuples, including the empty multiset.
+    Yielded as non-decreasing tuples in preorder, the empty multiset first.
+    One iterative depth-first walk: ``stack`` holds, per depth, the next
+    length to try and the budget left (in units of ``2**-max_len``), so each
+    multiset costs a constant number of steps plus building its tuple.
     """
-    unit = 1 << max_len
-
-    def walk(smallest: int, budget: int, acc: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        yield acc
-        for n in range(smallest, max_len + 1):
-            cost = 1 << (max_len - n)
-            if cost <= budget:
-                yield from walk(n, budget - cost, acc + (n,))
-
-    yield from walk(0, unit, ())
+    prefix: list[int] = []
+    stack = [(0, 1 << max_len)]
+    yield ()
+    while stack:
+        n, budget = stack.pop()
+        shortest = max_len + 1 - budget.bit_length()  # first length that fits
+        if n < shortest:
+            n = shortest
+        if n > max_len:
+            if prefix:
+                prefix.pop()
+            continue
+        stack.append((n + 1, budget))
+        stack.append((n, budget - (1 << (max_len - n))))
+        prefix.append(n)
+        yield tuple(prefix)
 
 
 # ---------------------------------------------------------------------------

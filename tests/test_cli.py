@@ -219,9 +219,9 @@ class TestIntervalTest:
 
 
 class TestRationalGrammar:
-    MESSAGES = {"1/0": "zero denominator in '1/0'",
-                "1e-9": "not a rational 'p/q' or integer: '1e-9'",
-                "0.5": "not a rational 'p/q' or integer: '0.5'"}
+    MESSAGES = {"1/0": "line 2: zero denominator in '1/0'",
+                "1e-9": "line 2: not a rational 'p/q' or integer: '1e-9'",
+                "0.5": "line 2: not a rational 'p/q' or integer: '0.5'"}
 
     @pytest.mark.parametrize("line", ["1/0", "1e-9", "0.5"])
     @pytest.mark.parametrize("command", ["decompose", "test", "dominate"])

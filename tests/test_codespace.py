@@ -1,5 +1,7 @@
 """Imperative allocator: splitting, batch allocation, invariant reports."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 from itertools import takewhile
@@ -131,6 +133,19 @@ class TestAllocateAll:
             allocate_all([(1, ""), (1, ""), (1, "")])
         assert info.value.index == 2
         assert info.value.length == 1
+
+    @pytest.mark.parametrize("index", [None, 0, 2])
+    @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
+                                       lambda e: pickle.loads(pickle.dumps(e))])
+    def test_refusal_survives_copy_and_pickle(self, clone, index):
+        original = InsufficientMass(5, index=index)
+        where = f" (request index {index})" if index is not None else ""
+        message = f"no free prefix can honour a length-5 request{where}"
+        twin = clone(original)
+        assert type(twin) is InsufficientMass
+        assert (twin.length, twin.index) == (5, index)
+        assert str(twin) == str(original) == message
+        assert twin.args == original.args == (5, index)
 
     def test_boundary_full_mass_succeeds(self):
         table = allocate_all([(1, ""), (2, ""), (2, "")])
