@@ -15,17 +15,22 @@ prefix-free, together they carry measure exactly one, the issued mass matches
 the ledger, pending request lengths fit inside the free measure, and the pool
 lengths stay strictly increasing.  The pick's binary search relies on the last
 one: a hand-built pool that breaks it is not a valid ``allocate`` input.
+``check_invariants`` re-derives all five from the raw state in one sweep: one
+sort of the union with a test of adjacent words for prefixes, and masses summed
+as integers at one common scale.  When the union fails, the report names a
+witness: the first overlapping pair, or else the first gap in code space.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from operator import lt
 from typing import Iterable, Sequence
 
-from .bits import MAX_TEXT_LENGTH, parse_word, prefix_free, validate_bits
+from .bits import MAX_TEXT_LENGTH, bit_value, parse_word, validate_bits
 from .errors import InsufficientMass, TargetTooShort
-from .exact import DYADIC_ZERO, Dyadic
+from .exact import DYADIC_ZERO, Dyadic, pow2_neg
 
 
 def extend_prefix(stem: str, target: int) -> list[str]:
@@ -123,13 +128,19 @@ def allocate_all(requests: Iterable[tuple[int, str]]) -> list[tuple[str, str]]:
 
 @dataclass(frozen=True)
 class InvariantReport:
-    """Outcome of the five allocator invariants; ``None`` means not checked."""
+    """Outcome of the five allocator invariants; ``None`` means not checked.
+
+    ``witness`` names why the union failed, when it did: the first
+    overlapping pair ``(u, v)`` of adjacent sorted words (``v`` starts with
+    ``u``), or else the first stretch ``(start, end)`` of [0, 1), as
+    ``Dyadic`` endpoints, that no word covers.  It is ``None`` otherwise."""
 
     union_prefix_free: bool
     union_measure_is_one: bool
     mass_matches_ledger: bool
     remaining_requests_fit: bool | None
     free_lengths_distinct: bool
+    witness: tuple[str, str] | tuple[Dyadic, Dyadic] | None = None
 
     @property
     def ok(self) -> bool:
@@ -144,39 +155,87 @@ class InvariantReport:
                 if getattr(self, name) is False]
 
 
+# Reports are immutable and a passing one names no witness, so the two
+# passing reports (pending lengths checked or not) are built once.
+_PASSING = {fit: InvariantReport(True, True, True, fit, True) for fit in (True, None)}
+
+
 def check_invariants(state: AllocatorState,
                      remaining_lengths: Sequence[int] | None = None) -> InvariantReport:
     """Recompute the five allocator invariants exactly from the raw state.
 
-    The measures are recomputed from the pools themselves (integer arithmetic
-    at a common power-of-two scale), so the report is meaningful even for
-    hand-built states.  ``remaining_lengths`` — the lengths of requests still
-    to come — enables the pending-requests-fit check; omitted, that field of
-    the report is ``None``.
+    One sweep over the union of free and issued words: their lengths are
+    taken once, every mass is an integer count of units of ``2**-scale`` at
+    one common scale (the longest word, ledger or pending length), and the
+    issued mass is the union's minus the pool's.  The union is sorted once;
+    a sorted list of words is prefix-free exactly when no word starts with
+    its predecessor.  Nothing is read from the allocator's own bookkeeping
+    but the ledger, so the report is meaningful even for hand-built states.
+    ``remaining_lengths`` (the lengths of requests still to come) enables
+    the pending-requests-fit check; omitted, that field of the report is
+    ``None``.  The witness is looked for only after the union check has
+    failed, so a passing state pays nothing for it.
     """
-    free, allocated = state.free, state.allocated
-    union = free + allocated
-    scale = max(max(map(len, union), default=0), state._scale)
+    free = state.free
+    union = free + state.allocated
+    lengths = [*map(len, union)]
+    scale = max(lengths) if lengths else 0
+    if state._scale > scale:
+        scale = state._scale
     if remaining_lengths:
-        scale = max(scale, max(remaining_lengths))
-
-    free_mass = sum(1 << (scale - len(w)) for w in free)
-    alloc_mass = sum(1 << (scale - len(w)) for w in allocated)
-    ledger = state._issued << (scale - state._scale)
+        longest = max(remaining_lengths)
+        if longest > scale:
+            scale = longest
+    unit = 1 << scale
+    weight = unit.__rshift__
+    free_lengths = lengths[:len(free)]
+    free_mass = sum(map(weight, free_lengths))
+    union_mass = sum(map(weight, lengths))
 
     if remaining_lengths is None:
         fit = None
     else:
-        fit = sum(1 << (scale - n) for n in remaining_lengths) <= free_mass
+        try:
+            pending = sum(map(weight, remaining_lengths))
+        except ValueError:      # a negative pending length: unit >> n refuses it
+            pending = sum(1 << (scale - n) for n in remaining_lengths)
+        fit = pending <= free_mass
 
-    return InvariantReport(
-        union_prefix_free=prefix_free(union),
-        union_measure_is_one=free_mass + alloc_mass == 1 << scale,
-        mass_matches_ledger=alloc_mass == ledger,
-        remaining_requests_fit=fit,
-        free_lengths_distinct=all(len(free[i]) < len(free[i + 1])
-                                  for i in range(len(free) - 1)),
-    )
+    union.sort()
+    prefix_free = not any(map(str.startswith, union[1:], union))
+    measure_is_one = union_mass == unit
+    ledger_ok = union_mass - free_mass == state._issued << (scale - state._scale)
+    distinct = all(map(lt, free_lengths, free_lengths[1:]))
+    if not prefix_free:
+        witness = next(pair for pair in zip(union, union[1:])
+                       if pair[1].startswith(pair[0]))
+    elif not measure_is_one:
+        witness = _first_gap(union)
+    elif ledger_ok and distinct and fit is not False:
+        return _PASSING[fit]
+    else:
+        witness = None
+    return InvariantReport(prefix_free, measure_is_one, ledger_ok, fit, distinct, witness)
+
+
+def _first_gap(ordered: list[str]) -> tuple[Dyadic, Dyadic] | None:
+    """The first stretch of [0, 1) that no word of ``ordered`` covers.
+
+    ``ordered`` is sorted, prefix-free and of measure below one, so its
+    cylinders are disjoint intervals in increasing order and one of them
+    ends short of the next, or of 1.  ``None`` if a hand-built word is not
+    binary.
+    """
+    try:
+        starts = [bit_value(w) for w in ordered]
+    except ValueError:
+        return None
+    covered = DYADIC_ZERO
+    for w, start in zip(ordered, starts):
+        if start > covered:
+            return covered, start
+        covered = start + pow2_neg(len(w))
+    return covered, Dyadic(1)
 
 
 # Digits a request-length field may have, leading zeros included; the field
@@ -187,26 +246,29 @@ MAX_LENGTH_DIGITS = 100
 def parse_request_lines(lines: Iterable[str]) -> list[tuple[int, str]]:
     """Parse ``n<TAB>y`` request lines; ``y`` is ``-`` for the empty output.
 
-    A length field of more than ``MAX_LENGTH_DIGITS`` digits, or a length
-    above ``bits.MAX_TEXT_LENGTH``, raises ValueError naming the line.
+    Every error names its line.  A length field of more than
+    ``MAX_LENGTH_DIGITS`` digits, or a length above ``bits.MAX_TEXT_LENGTH``,
+    raises ValueError.
     """
     requests: list[tuple[int, str]] = []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
             continue
-        fields = line.split("\t")
-        if len(fields) != 2:
-            raise ValueError(f"line {lineno}: expected 'n<TAB>y', got {line!r}")
-        length = fields[0].strip()
-        if not (length.isascii() and length.isdigit()):
-            raise ValueError(f"line {lineno}: length {fields[0]!r} is not a natural number")
-        if len(length) > MAX_LENGTH_DIGITS:
-            raise ValueError(f"line {lineno}: length has {len(length)} digits, "
-                             f"above the cap of {MAX_LENGTH_DIGITS}")
-        n = int(length)
-        if n > MAX_TEXT_LENGTH:
-            raise ValueError(f"line {lineno}: length {n} is above the cap "
-                             f"of {MAX_TEXT_LENGTH}")
-        requests.append((n, parse_word(fields[1])))
+        try:
+            fields = line.split("\t")
+            if len(fields) != 2:
+                raise ValueError(f"expected 'n<TAB>y', got {line!r}")
+            length = fields[0].strip()
+            if not (length.isascii() and length.isdigit()):
+                raise ValueError(f"length {fields[0]!r} is not a natural number")
+            if len(length) > MAX_LENGTH_DIGITS:
+                raise ValueError(f"length has {len(length)} digits, "
+                                 f"above the cap of {MAX_LENGTH_DIGITS}")
+            n = int(length)
+            if n > MAX_TEXT_LENGTH:
+                raise ValueError(f"length {n} is above the cap of {MAX_TEXT_LENGTH}")
+            requests.append((n, parse_word(fields[1])))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
     return requests

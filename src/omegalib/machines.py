@@ -176,23 +176,25 @@ def _successor(word: str) -> str:
 def parse_table_lines(lines: Iterable[str]) -> MachineTable:
     """Parse ``program<TAB>output`` lines; ``-`` stands for the empty word.
 
-    A program longer than ``bits.MAX_TEXT_LENGTH`` raises ValueError naming
-    the line.
+    Every error names its line.  A program longer than
+    ``bits.MAX_TEXT_LENGTH`` raises ValueError.
     """
     entries: list[tuple[str, str]] = []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
             continue
-        fields = line.split("\t")
-        if len(fields) != 2:
-            raise ValueError(
-                f"line {lineno}: expected 'program<TAB>output', got {line!r}")
-        program = parse_word(fields[0])
-        if len(program) > MAX_TEXT_LENGTH:
-            raise ValueError(f"line {lineno}: program length {len(program)} "
-                             f"is above the cap of {MAX_TEXT_LENGTH}")
-        entries.append((program, parse_word(fields[1])))
+        try:
+            fields = line.split("\t")
+            if len(fields) != 2:
+                raise ValueError(f"expected 'program<TAB>output', got {line!r}")
+            program = parse_word(fields[0])
+            if len(program) > MAX_TEXT_LENGTH:
+                raise ValueError(f"program length {len(program)} "
+                                 f"is above the cap of {MAX_TEXT_LENGTH}")
+            entries.append((program, parse_word(fields[1])))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
     return MachineTable(tuple(entries))
 
 

@@ -189,11 +189,14 @@ def check_invariants_along(lengths: Sequence[int]) -> list[str]:
     """All five allocator invariants after every single allocation."""
     failures = []
     state = codespace.new_allocator()
-    for i, n in enumerate(lengths):
-        codespace.allocate(state, n)
-        report = codespace.check_invariants(state, remaining_lengths=lengths[i + 1:])
+    allocate, check_invariants = codespace.allocate, codespace.check_invariants
+    for i, n in enumerate(lengths, 1):
+        allocate(state, n)
+        report = check_invariants(state, lengths[i:])
         if not report.ok:
-            failures.append(f"{report.failures()} after request {i} of {lengths}")
+            witness = "" if report.witness is None else f", witness {report.witness}"
+            failures.append(f"{report.failures()} after request {i - 1} of {lengths}"
+                            f"{witness}")
     return failures
 
 

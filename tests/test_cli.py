@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from omegalib import ce_real
+from omegalib.bits import parse_word
 from omegalib.cli import build_parser, main
 
 
@@ -244,6 +245,33 @@ class TestRationalGrammar:
         expected = run(capsys, argv(plain))
         assert expected[0] == 0 and expected[1]
         assert run(capsys, argv(blank)) == expected
+
+
+class TestWordErrorsNameTheLine:
+    """A word that is not binary: exit 2, no output, the line named."""
+
+    @pytest.mark.parametrize("text, message", [
+        ("0\t-\n12\t1\n", "line 2: not a binary word: '12'"),
+        ("0\t-\n\n10\t2\n", "line 3: not a binary word: '2'"),
+    ], ids=["program", "output"])
+    def test_omega_table(self, tmp_path, capsys, text, message):
+        table = write(tmp_path, "u.tsv", text)
+        assert run(capsys, ["omega", table]) == (2, "", f"error: {message}\n")
+
+    def test_compose_inner_table(self, tmp_path, capsys):
+        outer = write(tmp_path, "outer.tsv", "0\t1\n")
+        inner = write(tmp_path, "inner.tsv", "00\t0\n0a\t0\n")
+        assert run(capsys, ["compose", outer, inner]) == (
+            2, "", "error: line 2: not a binary word: '0a'\n")
+
+    def test_allocate_request(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("1\t-\n2\tx1\n"))
+        assert run(capsys, ["allocate", "-"]) == (
+            2, "", "error: line 2: not a binary word: 'x1'\n")
+
+    def test_parse_word_message_unchanged(self):
+        with pytest.raises(ValueError, match=r"^not a binary word: '12'$"):
+            parse_word("12")
 
 
 # 2**14000 has 4,215 decimal digits and 2**14400 has 4,335: just under and

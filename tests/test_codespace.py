@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 
 from omegalib import codespace
 from omegalib.bits import iter_length_lex, prefix_free, validate_bits
-from omegalib.codespace import (AllocatorState, allocate, allocate_all,
+from omegalib.codespace import (AllocatorState, InvariantReport, allocate, allocate_all,
                                 check_invariants, extend_prefix,
                                 new_allocator, parse_request_lines)
 from omegalib.errors import InsufficientMass, TargetTooShort
@@ -179,6 +179,26 @@ class TestCheckInvariants:
         report = check_invariants(state)
         assert not report.union_prefix_free
         assert not report.ok
+        assert report.witness == ("0", "01")
+
+    def test_gap_witness(self):
+        state = AllocatorState(free=["1"], allocated=["000"],
+                               mass_allocated=Dyadic(1, 3))
+        report = check_invariants(state)
+        assert report.failures() == ["union_measure_is_one"]
+        assert report.witness == (Dyadic(1, 3), Dyadic(1, 1))
+
+    def test_passing_report_has_no_witness(self):
+        state = new_allocator()
+        allocate(state, 2)
+        assert check_invariants(state).witness is None
+        assert check_invariants(state, [2, 3]).witness is None
+
+    def test_non_binary_word_gets_no_gap_witness(self):
+        state = AllocatorState(free=["2"], allocated=[], mass_allocated=Dyadic(0))
+        report = check_invariants(state)
+        assert report.failures() == ["union_measure_is_one"]
+        assert report.witness is None
 
     def test_hand_built_unsorted_pool_fails(self):
         # Prefix-free with measure one, but not strictly increasing in length:
@@ -358,3 +378,166 @@ class TestDifferentialAgainstLinearScan:
             reference_extend_prefix(stem, 6)
         with pytest.raises(ValueError):
             extend_prefix(stem, 6)
+
+
+# ---------------------------------------------------------------------------
+# Differential check of the one-sweep ``check_invariants`` against the
+# version it replaced, kept literally below.  The five fields must agree on
+# every state; the witness, new with the sweep, is checked on its own.
+# ---------------------------------------------------------------------------
+
+def reference_check_invariants(state: AllocatorState,
+                               remaining_lengths=None) -> InvariantReport:
+    free, allocated = state.free, state.allocated
+    union = free + allocated
+    scale = max(max(map(len, union), default=0), state._scale)
+    if remaining_lengths:
+        scale = max(scale, max(remaining_lengths))
+
+    free_mass = sum(1 << (scale - len(w)) for w in free)
+    alloc_mass = sum(1 << (scale - len(w)) for w in allocated)
+    ledger = state._issued << (scale - state._scale)
+
+    if remaining_lengths is None:
+        fit = None
+    else:
+        fit = sum(1 << (scale - n) for n in remaining_lengths) <= free_mass
+
+    return InvariantReport(
+        union_prefix_free=prefix_free(union),
+        union_measure_is_one=free_mass + alloc_mass == 1 << scale,
+        mass_matches_ledger=alloc_mass == ledger,
+        remaining_requests_fit=fit,
+        free_lengths_distinct=all(len(free[i]) < len(free[i + 1])
+                                  for i in range(len(free) - 1)),
+    )
+
+
+FIELDS = ("union_prefix_free", "union_measure_is_one", "mass_matches_ledger",
+          "remaining_requests_fit", "free_lengths_distinct")
+
+
+def _fields(report: InvariantReport) -> tuple:
+    return tuple(getattr(report, name) for name in FIELDS)
+
+
+def assert_witness_is_real(state: AllocatorState, report: InvariantReport) -> None:
+    """The witness is the first overlapping adjacent pair of the sorted
+    union, or else the first stretch of [0, 1) that no word covers."""
+    union = sorted(state.free + state.allocated)
+    if not report.union_prefix_free:
+        overlaps = [(u, v) for u, v in zip(union, union[1:]) if v.startswith(u)]
+        assert report.witness == overlaps[0]
+    elif not report.union_measure_is_one:
+        top = max(map(len, union), default=0)
+        lo, hi = (int(end.as_fraction() * 2 ** top) for end in report.witness)
+        cylinders = [(int(w or "0", 2) << (top - len(w)),
+                      (int(w or "0", 2) + 1) << (top - len(w))) for w in union]
+        assert 0 <= lo < hi <= 1 << top
+        # Nothing covers [lo, hi), everything below lo is covered, and the
+        # stretch runs up to the next word or to 1.
+        assert all(end <= lo or start >= hi for start, end in cylinders)
+        assert sum(end - start for start, end in cylinders if end <= lo) == lo
+        assert hi == 1 << top or any(start == hi for start, _ in cylinders)
+    else:
+        assert report.witness is None
+
+
+def _criterion_3_orderings(multiset, rng):
+    """The distinct ascending, descending and shuffled orders criterion 3 uses."""
+    ascending = list(multiset)
+    shuffled = ascending[:]
+    rng.shuffle(shuffled)
+    kept = []
+    for candidate in (ascending, ascending[::-1], shuffled):
+        if candidate not in kept:
+            kept.append(candidate)
+    return kept
+
+
+def _copy_state(state: AllocatorState) -> AllocatorState:
+    return AllocatorState(list(state.free), list(state.allocated), state.mass_allocated)
+
+
+# Each corruption edits a state in place.  Chained in pairs they also turn
+# fields back: dropping the last free word removes an injected one, and the
+# wrong ledger entry books exactly the duplicated codeword.
+CORRUPTIONS = {
+    "duplicate codeword": lambda s: s.allocated.append(s.allocated[0]),
+    "drop free word": lambda s: s.free.pop() if s.free else None,
+    "inject extension": lambda s: s.free.append(s.allocated[0] + "1"),
+    "inject prefix": lambda s: s.free.append(s.allocated[-1][:-1]),
+    "reverse pool": lambda s: s.free.reverse(),
+    "wrong ledger": lambda s: setattr(s, "mass_allocated",
+                                      s.mass_allocated + pow2_neg(len(s.allocated[0]))),
+    "empty union": lambda s: (s.free.clear(), s.allocated.clear()),
+}
+
+
+class TestCheckInvariantsDifferential:
+    def test_criterion_3_multiset_orderings(self):
+        rng = random.Random(1729)
+        reference, check = reference_check_invariants, check_invariants
+        for multiset in enumerate_kraft_multisets(6):
+            for lengths in _criterion_3_orderings(multiset, rng):
+                state = new_allocator()
+                for i, n in enumerate(lengths, 1):
+                    allocate(state, n)
+                    rest = lengths[i:]
+                    # Every state here passes, so the reports match whole.
+                    assert check(state, rest) == reference(state, rest), (lengths, i)
+
+    def test_seeded_random_sequences(self):
+        rng = random.Random(31)
+        for _ in range(500):
+            lengths = random_kraft_lengths(rng, 50, 16)
+            state = new_allocator()
+            for i, n in enumerate(lengths, 1):
+                allocate(state, n)
+                for rest in (lengths[i:], None):
+                    report = check_invariants(state, rest)
+                    assert _fields(report) == _fields(
+                        reference_check_invariants(state, rest)), (lengths, i)
+                    assert report.ok and report.witness is None
+
+    def test_corrupted_states(self):
+        rng = random.Random(37)
+        sequences = [list(m) for m in enumerate_kraft_multisets(3)]
+        sequences += [random_kraft_lengths(rng, 20, 10) for _ in range(12)]
+        flips = {name: set() for name in FIELDS}
+        witnesses = {str: 0, Dyadic: 0}
+        checked = 0
+        for lengths in sequences:
+            base = new_allocator()
+            for i, n in enumerate(lengths, 1):
+                allocate(base, n)
+                for rest in (None, [], lengths[i:], lengths[i:] + [0], [-1]):
+                    for first in CORRUPTIONS.values():
+                        for second in (None, *CORRUPTIONS.values()):
+                            state = _copy_state(base)
+                            before = check_invariants(state, rest)
+                            for corrupt in (first, second):
+                                if corrupt is None or not state.allocated:
+                                    break
+                                corrupt(state)
+                                after = check_invariants(state, rest)
+                                assert _fields(after) == _fields(
+                                    reference_check_invariants(state, rest))
+                                assert_witness_is_real(state, after)
+                                if after.witness is not None:
+                                    witnesses[type(after.witness[0])] += 1
+                                for name in FIELDS:
+                                    flips[name].add((getattr(before, name),
+                                                     getattr(after, name)))
+                                before = after
+                                checked += 1
+        assert checked > 50_000 and min(witnesses.values()) > 10_000, (checked, witnesses)
+        for name in FIELDS:
+            assert {(True, False), (False, True)} <= flips[name], name
+
+    def test_empty_union_names_all_of_code_space(self):
+        state = AllocatorState(free=[], allocated=[], mass_allocated=Dyadic(0))
+        report = check_invariants(state)
+        assert _fields(report) == _fields(reference_check_invariants(state))
+        assert report.failures() == ["union_measure_is_one"]
+        assert report.witness == (Dyadic(0), Dyadic(1))

@@ -1,6 +1,7 @@
 """Seeded generators of ``omegalib.verify``: differential tests against the
 list-filtering draws and the recursive multiset walk they replaced, and
-digests that pin the families the acceptance sweeps and the benchmark use."""
+digests that pin the families the acceptance sweeps and the benchmark use.
+Also the failure messages of ``check_invariants_along``."""
 
 import hashlib
 import random
@@ -10,8 +11,10 @@ from typing import Iterator
 
 import pytest
 
-from omegalib.verify import (enumerate_kraft_multisets, random_gamma_lengths,
-                             random_kraft_lengths)
+from omegalib import codespace
+from omegalib.exact import Dyadic
+from omegalib.verify import (check_invariants_along, enumerate_kraft_multisets,
+                             random_gamma_lengths, random_kraft_lengths)
 
 
 # ---------------------------------------------------------------------------
@@ -159,3 +162,39 @@ def test_gamma_stream_digest():
              for i in range(1000)]
     assert sha256_of(draws) == (
         "fdad05e2b9f3280274ba3fcbae66ef79d2fdf1c692b245bb4c3e40f0f9bf8505")
+
+
+class TestCheckInvariantsAlong:
+    """A broken allocator, patched in, shows what a failure message says."""
+
+    @staticmethod
+    def patch(monkeypatch, damage):
+        real = codespace.allocate
+
+        def damaged(state, n):
+            word = real(state, n)
+            damage(state, word)
+            return word
+        monkeypatch.setattr(codespace, "allocate", damaged)
+
+    def test_passing_run_reports_nothing(self):
+        assert check_invariants_along([2, 1, 3, 3]) == []
+
+    def test_overlap_witness(self, monkeypatch):
+        self.patch(monkeypatch, lambda state, word: state.free.append(word))
+        failed = "['union_prefix_free', 'union_measure_is_one', 'free_lengths_distinct']"
+        assert check_invariants_along([1, 2]) == [
+            f"{failed} after request 0 of [1, 2], witness ('0', '0')",
+            f"{failed} after request 1 of [1, 2], witness ('0', '00')"]
+
+    def test_gap_witness(self, monkeypatch):
+        self.patch(monkeypatch, lambda state, word: state.free.pop())
+        assert check_invariants_along([1]) == [
+            "['union_measure_is_one'] after request 0 of [1], "
+            "witness (Dyadic(1, 1), Dyadic(1, 0))"]
+
+    def test_no_witness_without_a_union_failure(self, monkeypatch):
+        self.patch(monkeypatch,
+                   lambda state, word: setattr(state, "mass_allocated", Dyadic(0)))
+        assert check_invariants_along([1]) == [
+            "['mass_matches_ledger'] after request 0 of [1]"]
