@@ -39,8 +39,7 @@ def prefix_free(words: Iterable[str]) -> bool:
     and a word is trivially a prefix of its duplicate.
     """
     ordered = sorted(words)
-    return not any(ordered[i + 1].startswith(ordered[i])
-                   for i in range(len(ordered) - 1))
+    return not any(map(str.startswith, ordered[1:], ordered))
 
 
 def prune_to_minimal(words: Iterable[str]) -> list[str]:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
 from .codespace import allocate_all
@@ -45,24 +46,25 @@ class RationalSeq:
         """The first ``k`` terms; SequenceExhausted if fewer are available."""
         if k < 0:
             raise ValueError("prefix length must be a natural number")
-        while len(self._cache) < k:
-            try:
-                raw = next(self._iter)
-            except StopIteration:
-                raise SequenceExhausted(
-                    f"sequence ended after {len(self._cache)} terms, "
-                    f"{k} were requested") from None
-            term = as_fraction(raw)
-            p, q = term.numerator, term.denominator
-            if not 0 < p < q:
-                raise InvalidSequence(f"term {term} is outside (0, 1)")
-            if self._cache:
-                last = self._cache[-1]
-                if p * last.denominator <= last.numerator * q:
+        cache = self._cache
+        if len(cache) < k:
+            # The last accepted term as an integer pair; 0/1 before the first,
+            # which every term inside (0, 1) clears.
+            lp, lq = (cache[-1].numerator, cache[-1].denominator) if cache else (0, 1)
+            for raw in islice(self._iter, k - len(cache)):
+                term = as_fraction(raw)
+                p, q = term.numerator, term.denominator
+                if not 0 < p < q:
+                    raise InvalidSequence(f"term {term} is outside (0, 1)")
+                if p * lq <= lp * q:
                     raise InvalidSequence(
-                        f"term {term} does not increase past {last}")
-            self._cache.append(term)
-        return tuple(self._cache[:k])
+                        f"term {term} does not increase past {cache[-1]}")
+                cache.append(term)
+                lp, lq = p, q
+            if len(cache) < k:
+                raise SequenceExhausted(f"sequence ended after {len(cache)} "
+                                        f"terms, {k} were requested")
+        return tuple(cache[:k])
 
 
 @dataclass(frozen=True)

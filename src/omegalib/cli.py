@@ -5,7 +5,10 @@ All numeric output is exact ``p/q``; ``--approx`` appends a ``~``-marked
 decimal reading.  Exit codes: 0 success, 2 usage or parse error, 3
 domain-level failure (mass exhaustion, measure violation, broken invariant,
 a machine table that repeats a program or is not prefix-free).
-Identical inputs always produce identical bytes.
+Identical inputs always produce identical bytes.  Every subcommand raises
+all its errors before it writes any output, and writes its output with one
+``write`` call, so a command that stops with an ``error:`` message leaves
+stdout empty.
 """
 
 from __future__ import annotations
@@ -14,12 +17,13 @@ import argparse
 import functools
 import sys
 from fractions import Fraction
+from math import gcd
 from typing import Sequence
 
 from . import ce_real, codespace, machines, solovay, verify
 from .bits import format_word
 from .errors import InsufficientMass, OmegalibError
-from .exact import (Dyadic, as_fraction, format_rational, measure_of_lengths,
+from .exact import (as_fraction, format_rational, measure_of_lengths,
                     parse_rational)
 
 USAGE_ERROR = 2
@@ -53,23 +57,34 @@ def _read_table(path: str, label: str = "") -> machines.MachineTable:
 
 def _read_rationals(path: str) -> list[Fraction]:
     """The ``p/q`` lines of a file as fractions, skipping blank lines."""
+    lines = _read_lines(path)
     values = []
-    for lineno, line in enumerate(_read_lines(path), start=1):
-        text = line.strip()
-        if len(text) > MAX_RATIONAL_CHARS:
-            raise ValueError(f"line {lineno}: {len(text)} characters, above "
-                             f"the cap of {MAX_RATIONAL_CHARS} per rational")
-        if text:
-            try:
+    try:
+        for lineno, line in enumerate(lines, start=1):
+            text = line.strip()
+            if len(text) > MAX_RATIONAL_CHARS:
+                raise ValueError(f"{len(text)} characters, above the cap "
+                                 f"of {MAX_RATIONAL_CHARS} per rational")
+            if text:
                 values.append(parse_rational(text))
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"line {lineno}: {exc}") from None
     return values
 
 
-def _check_level(flag: str, level: int) -> None:
-    if level > MAX_LEVEL:
-        raise ValueError(f"{flag} {level} is above the cap of {MAX_LEVEL}")
+def _check_level(flag: str, level: int | None, cap: int | None = MAX_LEVEL) -> None:
+    """Refuse a negative value of a numeric flag, or one above ``cap``."""
+    if level is None:
+        return
+    if level < 0:
+        raise ValueError(f"{flag} {level} is not a natural number")
+    if cap is not None and level > cap:
+        raise ValueError(f"{flag} {level} is above the cap of {cap}")
+
+
+def _write(lines) -> None:
+    """Write the output lines with one call to the current ``sys.stdout``."""
+    sys.stdout.write("".join(line + "\n" for line in lines))
 
 
 def _exact(value, approx: bool) -> str:
@@ -90,18 +105,19 @@ def _cmd_allocate(args) -> int:
               f"(length {exc.length}): free mass {free} < 2^-{exc.length}",
               file=sys.stderr)
         return DOMAIN_ERROR
-    for word, output in table:
-        print(f"{word}\t{format_word(output)}")
+    lines = [f"{word}\t{format_word(output)}" for word, output in table]
     mass = measure_of_lengths(len(word) for word, _ in table)
-    print(f"mu\t{_exact(mass, args.approx)}")
+    lines.append(f"mu\t{_exact(mass, args.approx)}")
+    _write(lines)
     return 0
 
 
 def _cmd_decompose(args) -> int:
+    _check_level("--k", args.k, None)
     seq = ce_real.RationalSeq(_read_rationals(args.sequence))
     decomposition = ce_real.dyadic_decompose(seq, args.k)
-    for n, r in zip(decomposition.lengths, decomposition.partials):
-        print(f"{n}\t{_exact(r, args.approx)}")
+    _write(f"{n}\t{_exact(r, args.approx)}"
+           for n, r in zip(decomposition.lengths, decomposition.partials))
     return 0
 
 
@@ -109,28 +125,38 @@ def _cmd_omega(args) -> int:
     table = _read_table(args.table)
     if args.k is not None:
         mass = machines.omega_approx(table, args.k)
-        print(f"{args.k}\t{_exact(mass, args.approx)}")
+        _write([f"{args.k}\t{_exact(mass, args.approx)}"])
         return 0
-    # Running partial sums at the scale of the longest program, one pass.
-    scale = max((len(p) for p in table.domain), default=0)
+    # Running partial sums total / 2**scale at the scale of the longest
+    # program, one pass, each written in lowest terms from the two integers.
+    lengths = [len(p) for p, _ in table.entries]
+    scale = max(lengths, default=0)
+    unit = 1 << scale
     total = 0
-    for k, program in enumerate(table.domain, start=1):
-        total += 1 << (scale - len(program))
-        print(f"{k}\t{_exact(Dyadic(total, scale), args.approx)}")
+    lines = []
+    for k, n in enumerate(lengths, start=1):
+        total += 1 << (scale - n)
+        g = gcd(total, unit)
+        line = f"{k}\t{total // g}/{unit // g}"
+        lines.append(f"{line}\t~{total / unit:.6f}" if args.approx else line)
+    _write(lines)
     return 0
 
 
 def _cmd_compose(args) -> int:
     outer = _read_table(args.outer, "outer table: ")
     inner = _read_table(args.inner, "inner table: ")
-    for line in machines.format_table_lines(machines.compose(outer, inner)):
-        print(line)
+    _write(machines.format_table_lines(machines.compose(outer, inner)))
     return 0
 
 
 def _cmd_dominate(args) -> int:
+    # Each flag the chosen mode reads is checked before any file is.
     if args.m is not None:
         _check_level("--m", args.m)
+        _check_level("--depth", args.depth, None)
+    else:
+        _check_level("--c", args.c, None)
     a_terms = _read_rationals(args.a)
     b_terms = _read_rationals(args.b)
     if args.m is not None:
@@ -139,25 +165,27 @@ def _cmd_dominate(args) -> int:
         witness = solovay.extract_witness(ce_real.RationalSeq(a_terms),
                                           ce_real.RationalSeq(b_terms),
                                           args.m, depth)
-        print(f"{witness.exponent}\t" + ",".join(map(str, witness.stage_indices)))
+        _write([f"{witness.exponent}\t"
+                + ",".join(map(str, witness.stage_indices))])
         return 0
     if args.c is None:
         print("error: dominate needs --c (check) or --m (witness)",
               file=sys.stderr)
         return USAGE_ERROR
     verdict = solovay.check_domination(a_terms, b_terms, args.c)
-    print("true" if verdict else "false")
+    _write(["true" if verdict else "false"])
     return 0
 
 
 def _cmd_test(args) -> int:
     _check_level("--n", args.n)
+    _check_level("--depth", args.depth, None)
     a = ce_real.RationalSeq(_read_rationals(args.a))
     b = ce_real.RationalSeq(_read_rationals(args.b))
     stage = solovay.build_test(a, b, args.n, args.depth)
-    for i, iv in enumerate(stage.intervals, start=1):
-        print(f"{i}\t-" if iv is None else
-              f"{i}\t{format_rational(iv.lo)}\t{format_rational(iv.hi)}")
+    _write(f"{i}\t-" if iv is None else
+           f"{i}\t{format_rational(iv.lo)}\t{format_rational(iv.hi)}"
+           for i, iv in enumerate(stage.intervals, start=1))
     return 0
 
 
@@ -167,14 +195,16 @@ def _cmd_verify(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    lines = []
     total_passed = total_failed = 0
     for result in results:
-        print(f"{result.name}: {result.passed} passed, {result.failed} failed")
-        for message in result.failures:
-            print(f"  {message}")
+        lines.append(f"{result.name}: {result.passed} passed, "
+                     f"{result.failed} failed")
+        lines.extend(f"  {message}" for message in result.failures)
         total_passed += result.passed
         total_failed += result.failed
-    print(f"total: {total_passed} passed, {total_failed} failed")
+    lines.append(f"total: {total_passed} passed, {total_failed} failed")
+    _write(lines)
     return 0 if total_failed == 0 else DOMAIN_ERROR
 
 

@@ -9,7 +9,6 @@ convenience in the command-line layer.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
@@ -184,10 +183,12 @@ class Interval:
     hi: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "lo", as_fraction(self.lo))
-        object.__setattr__(self, "hi", as_fraction(self.hi))
-        if self.lo > self.hi:
-            raise ValueError(f"interval endpoints out of order: {self.lo} > {self.hi}")
+        lo, hi = as_fraction(self.lo), as_fraction(self.hi)
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        # lo > hi, cross-multiplied over the positive denominators
+        if lo.numerator * hi.denominator > hi.numerator * lo.denominator:
+            raise ValueError(f"interval endpoints out of order: {lo} > {hi}")
 
     @property
     def is_empty(self) -> bool:
@@ -221,19 +222,19 @@ def format_rational(q: RationalLike) -> str:
     return f"{frac.numerator}/{frac.denominator}"
 
 
-_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
-
-
 def parse_rational(text: str) -> Fraction:
     """Parse an optionally signed integer ``p``, or ``p/q`` with ``q > 0``.
 
-    Anything else (decimals, exponents, a zero denominator) raises ValueError.
+    Digits are ASCII ``0-9`` only and only ``p`` may carry a sign.  Anything
+    else (decimals, exponents, a zero denominator) raises ValueError.
     """
     text = text.strip()
-    match = _RATIONAL.fullmatch(text)
-    if match is None:
+    p, slash, q = text.partition("/")
+    unsigned = p[1:] if p.startswith(("+", "-")) else p
+    # On ASCII text, isdigit() accepts exactly a non-empty run of 0-9.
+    if not (text.isascii() and unsigned.isdigit() and (q.isdigit() or not slash)):
         raise ValueError(f"not a rational 'p/q' or integer: {text!r}")
-    p, q = match.groups()
-    if q is not None and int(q) == 0:
+    den = int(q) if slash else 1
+    if den == 0:
         raise ValueError(f"zero denominator in {text!r}")
-    return Fraction(int(p), int(q or 1))
+    return Fraction(int(p), den)

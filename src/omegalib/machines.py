@@ -12,11 +12,11 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Iterable, Sequence
 
-from .bits import (MAX_TEXT_LENGTH, bit_value, format_word, iter_length_lex,
-                   parse_word, prefix_free, validate_bits)
+from .bits import (_BITS, MAX_TEXT_LENGTH, bit_value, format_word,
+                   iter_length_lex, parse_word, prefix_free, validate_bits)
 from .errors import StageOutOfRange
 from .exact import DYADIC_ZERO, Dyadic, measure_of_lengths, pow2_neg
 
@@ -27,15 +27,26 @@ class MachineTable:
 
     Construction validates the alphabet only; program uniqueness and
     prefix-freeness are checked by ``validate`` so that defective tables can
-    be represented and then rejected.
+    be represented and then rejected.  The input is read once and its
+    entries become ``(p, y)`` tuples; one C-level test of the joined words
+    then checks the whole alphabet.  Only when that fails is every word
+    checked in turn, so the first bad entry or word raises the same error,
+    with the same message, as a word-by-word check.
     """
 
     entries: tuple[tuple[str, str], ...]
 
     def __post_init__(self):
-        normalized = tuple((validate_bits(p), validate_bits(y))
-                           for p, y in self.entries)
-        object.__setattr__(self, "entries", normalized)
+        rows = tuple(self.entries)
+        try:
+            entries = tuple((p, y) for p, y in rows)
+            ok = _BITS.issuperset("".join(chain.from_iterable(entries)))
+        except (TypeError, ValueError):
+            ok = False
+        if not ok:
+            entries = tuple((validate_bits(p), validate_bits(y))
+                            for p, y in rows)
+        object.__setattr__(self, "entries", entries)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -54,9 +65,10 @@ class MachineTable:
 
     def validate(self) -> None:
         """Raise ValueError unless programs are unique and prefix-free."""
-        if len(set(self.domain)) != len(self.entries):
+        domain = self.domain
+        if len(set(domain)) != len(domain):
             raise ValueError("machine table repeats a program")
-        if not prefix_free(self.domain):
+        if not prefix_free(domain):
             raise ValueError("machine programs are not prefix-free")
 
 
@@ -93,16 +105,20 @@ def combine_universal(machines: Sequence[MachineTable]) -> MachineTable:
     return MachineTable(tuple(merged))
 
 
-def compose(outer: MachineTable, inner: MachineTable) -> MachineTable:
+def compose(outer: MachineTable,
+            inner: MachineTable | Iterable[tuple[str, str]]) -> MachineTable:
     """Run ``outer`` on each output of ``inner``: entries ``(x, outer(inner(x)))``.
 
-    Inner entries whose output is not an ``outer`` program are dropped;
-    the inner enumeration order is preserved.
+    ``inner`` is a table or its ``(program, output)`` pairs.  Inner entries
+    whose output is not an ``outer`` program are dropped; the inner
+    enumeration order is preserved.
     """
+    if isinstance(inner, MachineTable):
+        inner = inner.entries
     outer_map: dict[str, str] = {}
     for p, y in outer.entries:
         outer_map.setdefault(p, y)
-    return MachineTable(tuple((p, outer_map[y]) for p, y in inner.entries
+    return MachineTable(tuple((p, outer_map[y]) for p, y in inner
                               if y in outer_map))
 
 

@@ -180,6 +180,5 @@ def omega_rep_compose(machine: MachineTable, c: int, gamma_lengths: Sequence[int
     lengths through round k.
     """
     requests = interleave_requests(machine, c, gamma_lengths, k)
-    inner = MachineTable(tuple(allocate_all(requests)))
-    composed = compose(machine, inner)
+    composed = compose(machine, allocate_all(requests))
     return composed, composed.domain_measure()

@@ -149,6 +149,38 @@ class FractionRationalSeq:
         return tuple(self._cache[:k])
 
 
+class PropertyRationalSeq:
+    """``RationalSeq`` as it was before it carried the last term as an
+    integer pair, re-reading it through the Fraction properties."""
+
+    def __init__(self, source: Iterable[Fraction | int | Dyadic]):
+        self._iter: Iterator = iter(source)
+        self._cache: list[Fraction] = []
+
+    def prefix(self, k: int) -> tuple[Fraction, ...]:
+        """The first ``k`` terms; SequenceExhausted if fewer are available."""
+        if k < 0:
+            raise ValueError("prefix length must be a natural number")
+        while len(self._cache) < k:
+            try:
+                raw = next(self._iter)
+            except StopIteration:
+                raise SequenceExhausted(
+                    f"sequence ended after {len(self._cache)} terms, "
+                    f"{k} were requested") from None
+            term = as_fraction(raw)
+            p, q = term.numerator, term.denominator
+            if not 0 < p < q:
+                raise InvalidSequence(f"term {term} is outside (0, 1)")
+            if self._cache:
+                last = self._cache[-1]
+                if p * last.denominator <= last.numerator * q:
+                    raise InvalidSequence(
+                        f"term {term} does not increase past {last}")
+            self._cache.append(term)
+        return tuple(self._cache[:k])
+
+
 def verify_fraction(self, terms: Sequence[Fraction]) -> None:
     """``DyadicDecomposition.verify`` as it was, on Fractions and Dyadics."""
     if not len(self.lengths) == len(self.partials) == len(terms):
@@ -267,6 +299,54 @@ class TestFractionDifferential:
         assert seen == {None, "recurrence broken", "partial sum is not below the term",
                         "sandwich bound broken", "exponent must be a natural number",
                         "decomposition and term prefix lengths differ"}
+
+
+class TestPrefixDifferential:
+    """``prefix`` gives the old class's terms, or its exception's type and
+    message, call after call, also resuming after an error."""
+
+    @staticmethod
+    def calls(terms, ks, lazy):
+        results = []
+        for cls in (RationalSeq, PropertyRationalSeq):
+            seq = cls(iter(terms) if lazy else terms)
+            results.append([outcome(seq.prefix, k) for k in ks])
+        return results
+
+    def test_families_called_repeatedly(self):
+        rng = random.Random(13)
+        for terms in differential_families():
+            n = len(terms)
+            ks = [rng.randint(0, n + 2) for _ in range(5)] + [n, n + 1, 0]
+            new, old = self.calls(terms, ks, lazy=rng.random() < 0.5)
+            assert new == old
+
+    def test_bad_terms_then_resume(self):
+        rng = random.Random(14)
+        bad = [Fraction(0), Fraction(1), Fraction(-1, 3), Fraction(5, 4), 0, 1,
+               Dyadic(1, 1), Dyadic(0), "1/2", 0.5, None]
+        seen = set()
+        for terms in differential_families():
+            bent = list(terms)
+            for _ in range(rng.randint(1, 3)):
+                i = rng.randrange(len(bent) + 1)
+                pick = rng.random()
+                if pick < 0.4 and i:
+                    bent.insert(i, bent[i - 1])             # repeated term
+                elif pick < 0.6 and i > 1:
+                    bent.insert(i, bent[i - 2])             # a step back
+                else:
+                    bent.insert(i, rng.choice(bad))
+            ks = [len(bent)] * 4 + [rng.randint(0, len(bent)) for _ in range(3)]
+            new, old = self.calls(bent, ks, lazy=True)
+            assert new == old
+            seen.update(r[0] for r in new if r and isinstance(r[0], type))
+        assert seen == {InvalidSequence, SequenceExhausted, TypeError}
+
+    @pytest.mark.parametrize("k", [-1, -5])
+    def test_negative_length(self, k):
+        new, old = self.calls([Fraction(1, 2)], [k, 1, k], lazy=False)
+        assert new == old and new[0][0] is ValueError
 
 
 H, Q, E = Fraction(1, 2), Fraction(3, 4), Fraction(7, 8)

@@ -1,16 +1,19 @@
 """Command-line interface: output bytes, exit codes, stdin handling."""
 
 import contextlib
+import hashlib
 import io
+import random
 import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from omegalib import ce_real
+from omegalib import ce_real, cli, codespace, machines, verify
 from omegalib.bits import parse_word
-from omegalib.cli import build_parser, main
+from omegalib.cli import MAX_RATIONAL_CHARS, build_parser, main
+from omegalib.exact import Dyadic, format_rational, parse_rational
 
 
 def write(tmp_path, name, text):
@@ -526,6 +529,265 @@ class TestParserReuse:
         for bad in (("decompose", seq), ("omega", table, "--k", "nope")):
             code, out, err = result(*bad)
             assert (code, out) == (2, "") and err.startswith("usage: omegalib")
+
+
+def _analysis_files(directory):
+    """Seeded inputs shaped like the benchmark's analysis pipeline: two
+    30-term increasing sequences, a 60-entry table of 8-14 bit programs with
+    shared outputs, its request file, and an inner table whose outputs are
+    mostly programs of the first."""
+    rng = random.Random(2026)
+    files = {}
+
+    def put(name, lines):
+        files[name] = write(directory, name, "".join(f"{x}\n" for x in lines))
+
+    put("a.txt", map(format_rational, verify.random_increasing_rationals(rng, 30)))
+    put("b.txt", map(format_rational, verify.random_increasing_rationals(rng, 30)))
+    outputs = ["0" * rng.randint(2, 8) + verify.random_word(rng, 20)
+               for _ in range(20)]
+    requests = [(rng.randint(8, 14), rng.choice(outputs)) for _ in range(60)]
+    put("req.tsv", (f"{n}\t{y or '-'}" for n, y in requests))
+    outer = codespace.allocate_all(requests)
+    put("outer.tsv", machines.format_table_lines(machines.MachineTable(outer)))
+    inner = codespace.allocate_all(
+        (rng.randint(7, 12), rng.choice(outer)[0] if rng.random() < 0.8
+         else verify.random_word(rng, 6)) for _ in range(50))
+    put("inner.tsv", machines.format_table_lines(machines.MachineTable(inner)))
+    put("empty.tsv", [])
+    put("flat.txt", ["1/4", "1/4"])
+    put("over.tsv", ["1\t-", "1\t-", "1\t-"])
+    return files
+
+
+class TestExactBytes:
+    """sha256 of the exit code, stdout and stderr of each command on seeded
+    analysis-shaped inputs, pinned from the per-line ``print`` front end so
+    that the one-write output matches it byte for byte."""
+
+    CASES = {
+        "decompose": ["decompose", "a.txt", "--k", "30"],
+        "decompose --approx": ["decompose", "a.txt", "--k", "30", "--approx"],
+        "decompose short": ["decompose", "b.txt", "--k", "12"],
+        "decompose flat": ["decompose", "flat.txt", "--k", "2"],
+        "omega": ["omega", "outer.tsv"],
+        "omega --approx": ["omega", "outer.tsv", "--approx"],
+        "omega --k": ["omega", "outer.tsv", "--k", "37"],
+        "omega --k --approx": ["omega", "outer.tsv", "--k", "37", "--approx"],
+        "omega --k 0": ["omega", "outer.tsv", "--k", "0"],
+        "omega --k past": ["omega", "outer.tsv", "--k", "61"],
+        "omega empty": ["omega", "empty.tsv"],
+        "omega inner": ["omega", "inner.tsv", "--approx"],
+        "test 0": ["test", "a.txt", "b.txt", "--n", "0", "--depth", "30"],
+        "test 1": ["test", "a.txt", "b.txt", "--n", "1", "--depth", "30"],
+        "test 2": ["test", "a.txt", "b.txt", "--n", "2", "--depth", "30"],
+        "test 3": ["test", "a.txt", "b.txt", "--n", "3", "--depth", "30"],
+        "test past": ["test", "a.txt", "b.txt", "--n", "1", "--depth", "31"],
+        "dominate --m": ["dominate", "a.txt", "b.txt", "--m", "2"],
+        "dominate --m --depth": ["dominate", "b.txt", "a.txt", "--m", "1",
+                                 "--depth", "12"],
+        "dominate --c": ["dominate", "a.txt", "b.txt", "--c", "3"],
+        "dominate --c large": ["dominate", "a.txt", "b.txt", "--c", "1000"],
+        "allocate": ["allocate", "req.tsv"],
+        "allocate --approx": ["allocate", "req.tsv", "--approx"],
+        "allocate over": ["allocate", "over.tsv"],
+        "compose": ["compose", "outer.tsv", "inner.tsv"],
+        "compose empty": ["compose", "inner.tsv", "outer.tsv"],
+    }
+    DIGESTS = {
+        "decompose": "435d8f2887628e96115b89ff38d90a12bd99562ccfb19a4f40242c3cd38dfc74",
+        "decompose --approx": "92e2cb2c15e33c6d300ba3588ae9e03946f34696b5aa991a3030e4dab5d75aa1",
+        "decompose short": "9a1e78bbb84b71d37203aff6dc9b00ec1207cd631cce06e925ec4840301fe348",
+        "decompose flat": "0c14246f9b7c1698439915e32056263ace1ba1622681779f0cc63e436d131767",
+        "omega": "ee4911c7f4babb80f8106158f423bd532689ba1dede8a2bbf3a5171278eab487",
+        "omega --approx": "e84cedb83ed233036f24148619d7c5c929b229c988e4280ea06704a94725e689",
+        "omega --k": "fb19e0d4b1f1f865179bcac68841d6a500a1aa852395b7fcab67f1f8ac8c7aa7",
+        "omega --k --approx": "e78720f47f6f60776e3af98706942d9bcbeb0a813a4196387f5f494f9e166232",
+        "omega --k 0": "93c95e45f5753b3d705dd3ae7c7861c287092a3b890b6a79fec0d19aef47f3f4",
+        "omega --k past": "a951c1536a825905514817105af3bf3bce4f51bce102498cd3b537005ec5a663",
+        "omega empty": "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa",
+        "omega inner": "7e010d5e0e503ddd2c786a92783683ef71fba05ffd99fa4dd4be995995554c21",
+        "test 0": "cce4a064128b49fca4fe13a4cf04cf4334a2ea7cee05624107800358b504463f",
+        "test 1": "a248b6eeb21f0e42fc002e83f1cac9e71653160568f3f03a5d44f6f2d20da5ea",
+        "test 2": "97b800e7df37cec8e980de35b1fd366b58eaf0e764385b42049d2291fd7e452a",
+        "test 3": "f0e514d08efea90d915d36eb9d8cd910520c120122151246a9e9e85f0a1933d3",
+        "test past": "6b264a2c3ddd8efc48b2790ae5af4c9a592035c8e057239596870fc8bd165a7a",
+        "dominate --m": "be56af2dacd301c06785820de293eb32af75b97fa2bec81cc998ae277fdcff96",
+        "dominate --m --depth": "bdfacbdb0b50b2e65b3cab04577fad345bfec24b8d1643a8ddb9be92c1066077",
+        "dominate --c": "a9c8ba4ff0dc56ac5191eb78c7b3ded913d78bdec36c9528085643a4463fb90d",
+        "dominate --c large": "d443d19d6e7ac63812965a81ce194e39db46658b66271387a4a8c33e24719a9c",
+        "allocate": "763edffeb52fe445141bb6cc26669d91e13ffc42aafaa668572e65d81b5d3dcd",
+        "allocate --approx": "9bd73036a502096065d11f9287ecbf3e90e9a07a878c7f2ce2e1c193c27efc6e",
+        "allocate over": "da1ea496c199289c3470d65ef0e78dfb1743241d02b8788ca3d0592fe748d972",
+        "compose": "23f5f0c6d730079abf495e457fc5db3b750835ffa1db81a934d0b4baba07b674",
+        "compose empty": "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa",
+    }
+
+    @staticmethod
+    def digest(files, argv):
+        code, out, err = _run_quietly([files.get(x, x) for x in argv])
+        return hashlib.sha256(f"{code}\n{out}{err}".encode()).hexdigest()
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        return _analysis_files(tmp_path_factory.mktemp("analysis"))
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_pinned_bytes(self, files, case):
+        assert self.digest(files, self.CASES[case]) == self.DIGESTS[case]
+
+    @pytest.mark.parametrize("case", [
+        "decompose flat", "omega --k past", "test past", "allocate over"])
+    def test_errors_leave_stdout_empty(self, files, case):
+        code, out, err = _run_quietly([files.get(x, x) for x in self.CASES[case]])
+        assert (code, out) == (3, "") and err.startswith("error: ")
+
+
+# --- The per-line readers and the Dyadic-built omega lines that the
+# rewritten ones replaced, kept literally as differential references.
+
+def read_rationals_per_line(path):
+    """``cli._read_rationals`` as it was."""
+    values = []
+    for lineno, line in enumerate(cli._read_lines(path), start=1):
+        text = line.strip()
+        if len(text) > MAX_RATIONAL_CHARS:
+            raise ValueError(f"line {lineno}: {len(text)} characters, above "
+                             f"the cap of {MAX_RATIONAL_CHARS} per rational")
+        if text:
+            try:
+                values.append(parse_rational(text))
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
+    return values
+
+
+def omega_lines_dyadic(table, approx):
+    """The all-stages ``omega`` output as it was, one Dyadic per stage."""
+    scale = max((len(p) for p in table.domain), default=0)
+    total = 0
+    out = ""
+    for k, program in enumerate(table.domain, start=1):
+        total += 1 << (scale - len(program))
+        out += f"{k}\t{cli._exact(Dyadic(total, scale), approx)}\n"
+    return out
+
+
+def outcome(call, *args):
+    """A call's result, or its exception's type and message."""
+    try:
+        return call(*args)
+    except Exception as exc:          # compared, never swallowed
+        return type(exc), str(exc)
+
+
+class TestReaderDifferential:
+    LINES = ["1/4", "", "  ", " 3/8 ", "1/0", "0.5", "x", "\u0661/2", "-1/3",
+             "1/" + "7" * (MAX_RATIONAL_CHARS - 2), "1/" + "7" * MAX_RATIONAL_CHARS,
+             " " * (MAX_RATIONAL_CHARS + 5) + "1/2"]
+
+    def test_rational_files(self, tmp_path, no_int_digit_limit):
+        rng = random.Random(16)
+        path = tmp_path / "r.txt"
+        kinds = set()
+        for _ in range(400):
+            lines = [rng.choice(self.LINES) for _ in range(rng.randint(0, 6))]
+            path.write_text("\n".join(lines), encoding="utf-8")
+            new = outcome(cli._read_rationals, str(path))
+            assert new == outcome(read_rationals_per_line, str(path)), lines
+            kinds.add(new[0] if new and isinstance(new[0], type) else list)
+        assert kinds == {list, ValueError, UnicodeDecodeError}
+
+    def test_file_that_is_not_ascii(self, tmp_path):
+        path = tmp_path / "r.txt"
+        path.write_bytes("1/4\n\u00bd\n".encode())
+        new = outcome(cli._read_rationals, str(path))
+        assert new == outcome(read_rationals_per_line, str(path))
+        assert new[0] is UnicodeDecodeError
+
+
+class TestOmegaLinesDifferential:
+    """All-stages ``omega`` lines, written from the integer total and scale,
+    match the lines formatted through one Dyadic per stage."""
+
+    def tables(self):
+        rng = random.Random(17)
+        for _ in range(300):
+            yield verify.random_table(rng, 40, rng.choice((3, 12, 40)))
+        yield machines.MachineTable((("", "1"),))
+        yield machines.MachineTable((("0", ""), ("1", "")))
+        yield machines.MachineTable((("0", ""), ("10", ""), ("11", "")))
+        yield machines.MachineTable((("1", ""), ("0" * 3000, ""), ("01", "")))
+
+    @pytest.mark.parametrize("approx", [False, True])
+    def test_matches_dyadic_lines(self, tmp_path, approx):
+        path = tmp_path / "u.tsv"
+        for table in self.tables():
+            path.write_text("".join(line + "\n" for line in
+                                    machines.format_table_lines(table)))
+            argv = ["omega", str(path)] + (["--approx"] if approx else [])
+            assert _run_quietly(argv) == (0, omega_lines_dyadic(table, approx), "")
+
+
+class TestNegativeFlags:
+    """A negative numeric flag is refused before any file is read: exit 2,
+    empty stdout, and a message naming the flag."""
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["test", "A", "B", "--n", "-1", "--depth", "3"], "--n -1"),
+        (["test", "A", "B", "--n", "1", "--depth", "-2"], "--depth -2"),
+        (["test", "A", "B", "--n", "-1", "--depth", "-2"], "--n -1"),
+        (["dominate", "A", "B", "--m", "-1"], "--m -1"),
+        (["dominate", "A", "B", "--m", "1", "--depth", "-3"], "--depth -3"),
+        (["dominate", "A", "B", "--c", "-1"], "--c -1"),
+        (["decompose", "A", "--k", "-1"], "--k -1"),
+    ])
+    @pytest.mark.parametrize("files", ["present", "missing"])
+    def test_refused_naming_the_flag(self, tmp_path, argv, flag, files):
+        paths = {"A": str(tmp_path / "a.txt"), "B": str(tmp_path / "b.txt")}
+        if files == "present":
+            write(tmp_path, "a.txt", "1/4\n1/2\n")
+            write(tmp_path, "b.txt", "1/8\n1/4\n")
+        argv = [paths.get(x, x) for x in argv]
+        assert _run_quietly(argv) == (
+            2, "", f"error: {flag} is not a natural number\n")
+
+    def test_flags_a_mode_ignores_stay_unchecked(self, tmp_path):
+        a = write(tmp_path, "a.txt", "1/4\n1/2\n")
+        b = write(tmp_path, "b.txt", "1/8\n1/4\n")
+        assert _run_quietly(["dominate", a, b, "--m", "1", "--c", "-1"]) == (
+            0, "1\t1,2\n", "")
+        assert _run_quietly(["dominate", a, b, "--c", "2", "--depth", "-1"]) == (
+            0, "true\n", "")
+
+    def test_omega_stage_keeps_its_domain_error(self, tmp_path):
+        table = write(tmp_path, "u.tsv", "0\t1\n10\t0\n")
+        assert _run_quietly(["omega", table, "--k", "-1"]) == (
+            3, "", "error: stage -1 outside 0..2\n")
+
+
+class TestWriteOnce:
+    """Each command writes its whole output with one call, to the stdout in
+    place when it runs."""
+
+    class Recorder(io.StringIO):
+        def __init__(self):
+            super().__init__()
+            self.calls = 0
+
+        def write(self, text):
+            self.calls += 1
+            return super().write(text)
+
+    @pytest.mark.parametrize("case", [
+        "decompose", "omega", "omega --approx", "omega --k", "test 2",
+        "dominate --m", "dominate --c", "allocate", "compose"])
+    def test_one_write(self, tmp_path, case):
+        files = _analysis_files(tmp_path)
+        out = self.Recorder()
+        with contextlib.redirect_stdout(out):
+            assert main([files.get(x, x) for x in TestExactBytes.CASES[case]]) == 0
+        assert out.calls == 1 and out.getvalue().count("\n") >= 1
 
 
 class TestVerify:

@@ -1,9 +1,10 @@
 """Dyadic/rational arithmetic, intervals, and the exact-log helper."""
 
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from omegalib.errors import NonPositiveInput
 from omegalib.exact import (Dyadic, Interval, as_fraction, ceil_neg_log2,
@@ -247,3 +248,110 @@ class TestSerialization:
     def test_as_fraction_refuses_text_and_floats(self, value):
         with pytest.raises(TypeError):
             as_fraction(value)
+
+
+# --- The regex parser and the Fraction-ordered endpoint check that the
+# string-method and cross-multiplied versions replaced, kept literally as
+# differential references.
+
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
+def parse_rational_regex(text: str) -> Fraction:
+    """``exact.parse_rational`` as it was."""
+    text = text.strip()
+    match = _RATIONAL.fullmatch(text)
+    if match is None:
+        raise ValueError(f"not a rational 'p/q' or integer: {text!r}")
+    p, q = match.groups()
+    if q is not None and int(q) == 0:
+        raise ValueError(f"zero denominator in {text!r}")
+    return Fraction(int(p), int(q or 1))
+
+
+def interval_post_init_ordered(self):
+    """``Interval.__post_init__`` as it was."""
+    object.__setattr__(self, "lo", as_fraction(self.lo))
+    object.__setattr__(self, "hi", as_fraction(self.hi))
+    if self.lo > self.hi:
+        raise ValueError(f"interval endpoints out of order: {self.lo} > {self.hi}")
+
+
+class OrderedInterval(Interval):
+    __post_init__ = interval_post_init_ordered
+
+
+def outcome(call, *args):
+    """A call's result with its exact type, or the exception's type and
+    message."""
+    try:
+        value = call(*args)
+    except Exception as exc:          # compared, never swallowed
+        return type(exc), str(exc)
+    return type(value), value
+
+
+RATIONAL_LINES = [
+    "0", "7", "+7", "-7", "-0", "+0", "007", "-007/0010", "3/10", " -6/4 ",
+    "\t12/8\n", "1/1", "0/5", "-0/5", "+3/4", "1/0", "0/0", "-1/00", "1/-2",
+    "1/+2", "-1/-2", "1/2/3", "1//2", "/", "/3", "1/", "+", "-", "+-1", "--1",
+    "++1", "1 / 3", "1 /3", "1/ 3", "1 2", "1\t2", "1_0", "1_0/3", "1/1_0",
+    "1.5", "0.5", "1e-9", "1e3", "0x10", "0b1", "inf", "nan", "\u0661",
+    "\u0661/2", "1/\u0662", "\u00b2", "2\u00b2", "\uff11", "1/\uff12",
+    "\u0966", "\u00bd", "", " ", "\u3000", "\u30001/2\u3000", "\u00a0-3\u00a0",
+    "-\u0661", "1\u0301", "1/2\x00", "\x001/2",
+    "1/" + "7" * 19_998, " 1/" + "7" * 19_998 + " ", "7" * 20_000,
+    "-" + "9" * 19_999, "1/" + "0" * 19_998, "1/" + "7" * 19_997 + "x",
+]
+
+
+class TestParseRationalDifferential:
+    """The regex-free parser accepts the same lines with the same value, and
+    refuses the rest with the same exception and message."""
+
+    @pytest.mark.parametrize("text", RATIONAL_LINES)
+    def test_fixed_lines(self, text):
+        assert outcome(parse_rational, text) == outcome(parse_rational_regex, text)
+
+    @pytest.mark.parametrize("text", [t for t in RATIONAL_LINES if len(t) > 4_000])
+    def test_long_lines_without_digit_limit(self, text, no_int_digit_limit):
+        assert outcome(parse_rational, text) == outcome(parse_rational_regex, text)
+
+    @settings(max_examples=600)
+    @given(st.text(alphabet=st.one_of(
+        st.sampled_from("0123456789+-/ _.e\t\n\u0661\u00b2\uff11\u3000"),
+        st.characters()), max_size=12))
+    def test_arbitrary_text(self, text):
+        assert outcome(parse_rational, text) == outcome(parse_rational_regex, text)
+
+    @given(st.sampled_from(["", "+", "-"]), st.sampled_from(["", "0", "00"]),
+           st.integers(0, 10**30), st.integers(0, 10**30),
+           st.sampled_from(["", " ", "\t"]))
+    def test_well_formed_text(self, sign, zeros, p, q, pad):
+        for text in (f"{pad}{sign}{zeros}{p}/{zeros}{q}{pad}", f"{sign}{zeros}{p}"):
+            assert outcome(parse_rational, text) == outcome(parse_rational_regex, text)
+
+
+class TestIntervalDifferential:
+    """The cross-multiplied endpoint check accepts and refuses exactly the
+    endpoints the Fraction comparison did, with the same message."""
+
+    ENDPOINTS = [0, 1, -1, 3, True, Fraction(1, 3), Fraction(-2, 7),
+                 Fraction(2, 6), Fraction(10**40 + 1, 10**40), Dyadic(1, 1),
+                 Dyadic(0), Dyadic(3, -1), Dyadic(1, 200), "1/2", 0.5, None]
+
+    @pytest.mark.parametrize("lo", ENDPOINTS)
+    @pytest.mark.parametrize("hi", ENDPOINTS)
+    def test_fixed_endpoints(self, lo, hi):
+        def fields(cls):
+            iv = cls(lo, hi)
+            return type(iv.lo), iv.lo, type(iv.hi), iv.hi
+        assert outcome(fields, Interval) == outcome(fields, OrderedInterval)
+
+    @given(st.fractions(), st.fractions())
+    def test_random_fractions(self, lo, hi):
+        new, old = outcome(Interval, lo, hi), outcome(OrderedInterval, lo, hi)
+        if new[0] is Interval:
+            assert (new[1].lo, new[1].hi) == (old[1].lo, old[1].hi)
+        else:
+            assert new == old

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from omegalib import codespace, machines, verify
+from omegalib.bits import prefix_free, validate_bits
 from omegalib.errors import StageOutOfRange
 from omegalib.machines import (MachineTable, chaitin_transform,
                                chaitin_transform_table,
@@ -44,6 +45,138 @@ class TestMachineTable:
             table(("0", ""), ("01", "")).validate()
         with pytest.raises(ValueError):
             table(("0", ""), ("0", "1")).validate()
+
+
+# --- The word-by-word constructor check and the indexed prefix-free test
+# that the one-pass versions replaced, kept literally as differential
+# references.
+
+def entries_word_by_word(entries):
+    """``MachineTable.__post_init__`` as it was, returning the entries."""
+    normalized = tuple((validate_bits(p), validate_bits(y))
+                       for p, y in entries)
+    return normalized
+
+
+def prefix_free_indexed(words):
+    """``bits.prefix_free`` as it was."""
+    ordered = sorted(words)
+    return not any(ordered[i + 1].startswith(ordered[i])
+                   for i in range(len(ordered) - 1))
+
+
+def built(make):
+    """The entries ``make()`` returns, each word with its exact type so that
+    a kept subclass shows, or the exception's type and message."""
+    try:
+        entries = make()
+    except Exception as exc:          # compared, never swallowed
+        return type(exc), str(exc)
+    return tuple((type(p), p, type(y), y) for p, y in entries)
+
+
+class Bits(str):
+    pass
+
+
+SMALL = (("01", "1"), ("10", ""), ("110", "0"), ("", "0101"))
+
+
+def bad_char_tables():
+    """SMALL with one character replaced or inserted at every position of
+    every word, singly and with a second bad word later in the table."""
+    for i, entry in enumerate(SMALL):
+        for side in (0, 1):
+            word = entry[side]
+            for pos in range(len(word) + 1):
+                for bad in ("2", "a", " ", "\n", "\u0660", "\u00b9", "\x00"):
+                    for cut in (word[:pos] + bad + word[pos + 1:],
+                                word[:pos] + bad + word[pos:]):
+                        rows = [list(e) for e in SMALL]
+                        rows[i][side] = cut
+                        yield tuple(map(tuple, rows))
+                        rows[-1][1] = "x"
+                        yield tuple(map(tuple, rows))
+
+
+def odd_entry_tables():
+    """Non-str words, wrong arities, lists, strings as entries and non-pairs,
+    each placed before, between and after valid and invalid entries."""
+    odd = [(b"01", "1"), ("0", b"1"), (("0", "1"), "1"), ("0", ("1",)),
+           (None, "1"), ("0", None), (0, "1"), ("0", ["1"]), ("0",), (),
+           ("0", "1", "1"), ["0", "1"], ["0"], "01", "011", "0", None, 5,
+           (Bits("01"), "1"), ("0", Bits("12")), ("0", Bits(""))]
+    for entry in odd:
+        yield (entry,)
+        yield (("0", "1"), entry)
+        yield (entry, ("0", "1"))
+        yield (("0", "2"), entry)
+        yield (entry, ("0", "2"))
+        yield (entry, ("0", None))
+
+
+class TestConstructionDifferential:
+    """The one-pass constructor keeps the word-by-word check's entries, or
+    its first exception's type and message."""
+
+    def check(self, make_entries):
+        new = built(lambda: MachineTable(make_entries()).entries)
+        assert new == built(lambda: entries_word_by_word(make_entries()))
+        return new
+
+    def test_valid_tables(self):
+        rng = random.Random(10)
+        for _ in range(300):
+            pairs = verify.random_table(rng, 30, 12, max_out=20).entries
+            for rows in (pairs, list(pairs), [list(e) for e in pairs]):
+                self.check(lambda: rows)
+                assert MachineTable(rows).entries == pairs
+
+    def test_bad_character_at_every_position(self):
+        count = 0
+        for rows in bad_char_tables():
+            assert self.check(lambda: rows)[0] is ValueError
+            count += 1
+        assert count == 2 * 2 * 7 * sum(len(p) + len(y) + 2 for p, y in SMALL)
+
+    def test_odd_entries(self):
+        kinds = set()
+        for rows in odd_entry_tables():
+            result = self.check(lambda: rows)
+            kinds.add(result[0] if isinstance(result[0], type) else "ok")
+        assert kinds == {TypeError, ValueError, "ok"}
+
+    def test_str_subclass_words_are_kept(self):
+        rows = ((Bits("01"), Bits("")), ("1", Bits("1")))
+        assert [p for p, *_ in self.check(lambda: rows)] == [Bits, str]
+
+    def test_generator_input(self):
+        for rows in [SMALL, SMALL + (("1", "2"),), SMALL + (("1",),), ()]:
+            self.check(lambda: (e for e in rows))
+            self.check(lambda: iter(rows))
+        assert MachineTable(e for e in SMALL).entries == SMALL
+
+    @pytest.mark.parametrize("rows", [(), [], None, 5, "", "01"])
+    def test_empty_and_non_iterable(self, rows):
+        self.check(lambda: rows)
+
+
+class TestPrefixFreeDifferential:
+    def test_small_word_lists(self):
+        words = [""] + ["".join(w) for n in range(1, 4)
+                        for w in itertools.product("01", repeat=n)]
+        for size in range(4):
+            for listing in itertools.combinations_with_replacement(words, size):
+                assert prefix_free(listing) == prefix_free_indexed(listing)
+
+    def test_random_listings(self):
+        rng = random.Random(11)
+        for _ in range(2000):
+            listing = [verify.random_word(rng, 8) for _ in range(rng.randint(0, 12))]
+            if rng.random() < 0.5:
+                listing = list(verify.random_table(rng, 20, 10).domain)
+            assert prefix_free(listing) == prefix_free_indexed(listing)
+            assert prefix_free(iter(listing)) == prefix_free_indexed(listing)
 
 
 class TestOmega:
@@ -251,6 +384,16 @@ class TestTransformTableDifferential:
 
 
 class TestCompose:
+    def test_pairs_compose_like_a_table(self):
+        rng = random.Random(12)
+        for _ in range(200):
+            outer = verify.random_table(rng, 12, 6, max_out=5)
+            pairs = codespace.allocate_all(
+                (n, rng.choice(outer.domain + ("1", "")))
+                for n in verify.random_kraft_lengths(rng, 20, 8))
+            inner = MachineTable(tuple(pairs))
+            assert compose(outer, pairs) == compose(outer, inner)
+
     def test_single(self):
         assert compose(table(("0", "1")), table(("00", "0"))).entries == (("00", "1"),)
 

@@ -7,15 +7,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from omegalib import solovay
+from omegalib.codespace import allocate_all
 from omegalib.ce_real import RationalSeq
-from omegalib.errors import LengthMismatch, StageOutOfRange
+from omegalib.errors import InsufficientMass, LengthMismatch, StageOutOfRange
 from omegalib.exact import Interval, parse_rational, pow2_neg
-from omegalib.machines import MachineTable, omega_approx
+from omegalib.machines import MachineTable, compose, omega_approx
 from omegalib.solovay import (DominationWitness, build_test,
                               check_domination, extract_witness,
                               interleave_requests, omega_rep_compose,
                               representation_partial)
-from omegalib.verify import check_test_family, random_increasing_rationals
+from omegalib.verify import (check_test_family, random_gamma_lengths,
+                             random_increasing_rationals, random_table)
 
 A_TERMS = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
 B_TERMS = (Fraction(1, 8), Fraction(1, 4), Fraction(3, 8))
@@ -282,3 +284,38 @@ class TestBuildTestDifferential:
             new = outcome(build_test, seq(a), seq(b), level, depth)
             assert new == outcome(build_test_fraction, seq(a), seq(b), level, depth)
             assert isinstance(new, tuple), new
+
+
+def omega_rep_compose_via_inner(machine, c, gamma_lengths, k):
+    """``omega_rep_compose`` as it was, through a validated inner table."""
+    requests = interleave_requests(machine, c, gamma_lengths, k)
+    inner = MachineTable(tuple(allocate_all(requests)))
+    composed = compose(machine, inner)
+    return composed, composed.domain_measure()
+
+
+class TestRepComposeDifferential:
+    def test_matches_inner_table(self):
+        rng = random.Random(15)
+        kinds = set()
+        for _ in range(300):
+            machine = random_table(rng, 25, 12, max_out=6, nonempty=True)
+            c = rng.randint(0, 4)
+            budget = 1 - Fraction(1, 1 << c) * machine.domain_measure().as_fraction()
+            gamma = random_gamma_lengths(rng, budget, 10)
+            if rng.random() < 0.2:            # overfull: refused alike
+                gamma = gamma + [1, 1]
+            for k in (0, 1, len(machine), max(len(machine), len(gamma)) + 1):
+                args = (machine, c, gamma, k)
+                new = outcome(omega_rep_compose, *args)
+                assert new == outcome(omega_rep_compose_via_inner, *args), args
+                kinds.add(new[0] if isinstance(new[0], type) else MachineTable)
+        assert kinds == {MachineTable, InsufficientMass}
+
+    @pytest.mark.parametrize("args", [(MachineTable(()), 1, [2], 1),
+                                      (TestRepresentationStream.V, -1, [2], 1),
+                                      (TestRepresentationStream.V, 1, [2], -1)])
+    def test_refusals_match(self, args):
+        new = outcome(omega_rep_compose, *args)
+        assert new == outcome(omega_rep_compose_via_inner, *args)
+        assert new[0] is ValueError
