@@ -8,8 +8,7 @@ from .errors import (InsufficientMass, InvalidSequence, LengthMismatch,
                      SequenceExhausted, StageOutOfRange, TargetTooShort,
                      UnderlongString)
 from .exact import (Dyadic, Interval, as_fraction, ceil_neg_log2,
-                    format_rational, measure_of_lengths, parse_rational,
-                    pow2_neg)
+                    measure_of_lengths, pow2_neg)
 from .codespace import (AllocatorState, InvariantReport, allocate,
                         allocate_all, check_invariants, extend_prefix,
                         new_allocator)
@@ -37,8 +36,7 @@ __all__ = [
     "chaitin_transform_table", "check_domination", "check_invariants",
     "combine_universal", "complexity", "complexity_test_stage", "compose",
     "compression_requests", "dyadic_decompose", "extend_prefix",
-    "extract_witness", "format_rational", "interleave_requests",
-    "measure_of_lengths", "new_allocator", "omega_approx",
-    "omega_rep_compose", "parse_rational", "pow2_neg",
+    "extract_witness", "interleave_requests", "measure_of_lengths",
+    "new_allocator", "omega_approx", "omega_rep_compose", "pow2_neg",
     "representation_partial", "stage_membership", "to_machine",
 ]

@@ -8,7 +8,9 @@ a machine table that repeats a program or is not prefix-free).
 Identical inputs always produce identical bytes.  Every subcommand raises
 all its errors before it writes any output, and writes its output with one
 ``write`` call, so a command that stops with an ``error:`` message leaves
-stdout empty.
+stdout empty.  Subcommands only raise; ``main`` alone writes every
+``error:`` line and maps the exception to the exit code, 3 for an
+``OmegalibError`` and 2 for a ``ValueError`` or ``OSError``.
 """
 
 from __future__ import annotations
@@ -101,10 +103,9 @@ def _cmd_allocate(args) -> int:
     except InsufficientMass as exc:
         served = measure_of_lengths(n for n, _ in requests[:exc.index])
         free = format_rational(1 - as_fraction(served))
-        print(f"error: kraft violation at request {exc.index + 1} "
-              f"(length {exc.length}): free mass {free} < 2^-{exc.length}",
-              file=sys.stderr)
-        return DOMAIN_ERROR
+        raise OmegalibError(f"kraft violation at request {exc.index + 1} "
+                            f"(length {exc.length}): free mass {free} "
+                            f"< 2^-{exc.length}") from None
     lines = [f"{word}\t{format_word(output)}" for word, output in table]
     mass = measure_of_lengths(len(word) for word, _ in table)
     lines.append(f"mu\t{_exact(mass, args.approx)}")
@@ -169,9 +170,7 @@ def _cmd_dominate(args) -> int:
                 + ",".join(map(str, witness.stage_indices))])
         return 0
     if args.c is None:
-        print("error: dominate needs --c (check) or --m (witness)",
-              file=sys.stderr)
-        return USAGE_ERROR
+        raise ValueError("dominate needs --c (check) or --m (witness)")
     verdict = solovay.check_domination(a_terms, b_terms, args.c)
     _write(["true" if verdict else "false"])
     return 0
@@ -190,11 +189,7 @@ def _cmd_test(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    try:
-        results = verify.run_suites([args.suite], seed=args.seed)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    results = verify.run_suites([args.suite], seed=args.seed)
     lines = []
     total_passed = total_failed = 0
     for result in results:

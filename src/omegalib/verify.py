@@ -1,10 +1,13 @@
 """Deterministic property sweeps behind the ``verify`` subcommand.
 
 Each check function re-derives one of the library's guarantees on concrete
-inputs and returns a list of failure descriptions (empty means pass).  The
-suite runners wire those checks to seeded random generators, so a given seed
-always reproduces the same verdicts.  The acceptance tests reuse the same
-check functions at their own sweep sizes.
+inputs and returns a list of failure descriptions (empty means pass).  Each
+suite is a generator that draws its inputs from the ``random.Random`` it is
+given and yields one failure list per check.  ``run_suites`` is the one
+runner: it runs each chosen suite on a fresh ``random.Random(seed)`` and
+counts what it yields into a ``SuiteResult``, so a given seed always
+reproduces the same verdicts.  The acceptance tests reuse the same check
+functions at their own sweep sizes.
 
 The random length generators keep one random-number contract: one
 ``randint`` for the count, then one ``choice`` over the range of lengths that
@@ -29,8 +32,8 @@ from .errors import OmegalibError
 from .exact import measure_of_lengths, pow2_neg
 
 DEFAULT_SEED = 1729
-
-SUITE_NAMES = ("kc", "oracle", "repce", "omega", "dominate", "mltest")
+TAIL_MAX_LEVEL = 8
+TEST_MAX_MARGIN = 4
 
 
 # ---------------------------------------------------------------------------
@@ -260,11 +263,12 @@ def check_omega_composition(machine: machines.MachineTable, c: int,
 
     requests = solovay.interleave_requests(machine, c, gamma_lengths, rounds)
     issued = codespace.allocate_all(requests)
+    programs = machine.domain
     cursor = 0
     for i in range(rounds):
         if i < len(machine):
             word, _ = issued[cursor]
-            wanted = len(machine.domain[i]) + c
+            wanted = len(programs[i]) + c
             if len(word) != wanted:
                 failures.append(f"round {i + 1}: codeword length {len(word)} != {wanted}")
             cursor += 1
@@ -335,14 +339,14 @@ def check_transform(table: machines.MachineTable) -> list[str]:
     return failures
 
 
-def check_tail_bound(table: machines.MachineTable, max_level: int = 8) -> list[str]:
+def check_tail_bound(table: machines.MachineTable) -> list[str]:
     """Once the halting mass is within ``2**-n`` of its limit, all later
     programs have length at least ``n``."""
     failures = []
     total = table.domain_measure()
     for t in range(len(table) + 1):
         partial = machines.omega_approx(table, t)
-        for n in range(max_level + 1):
+        for n in range(TAIL_MAX_LEVEL + 1):
             if partial.as_fraction() >= total.as_fraction() - pow2_neg(n).as_fraction():
                 short = [p for p, _ in table.entries[t:] if len(p) < n]
                 if short:
@@ -371,10 +375,10 @@ def check_combined_overhead(machine_list: Sequence[machines.MachineTable]) -> li
     return failures
 
 
-def check_complexity_test(table: machines.MachineTable, max_margin: int = 4) -> list[str]:
+def check_complexity_test(table: machines.MachineTable) -> list[str]:
     """Pruned compressible-output sets stay within their level's measure."""
     failures = []
-    for margin in range(max_margin + 1):
+    for margin in range(TEST_MAX_MARGIN + 1):
         for k in range(len(table) + 1):
             stage_words = mltest.complexity_test_stage(table, margin, k)
             if mltest.antichain_measure(stage_words) > pow2_neg(margin):
@@ -432,89 +436,66 @@ class SuiteResult:
             self.passed += 1
 
 
-def _suite_kc(seed: int) -> SuiteResult:
-    rng = random.Random(seed)
-    result = SuiteResult("kc")
-    result.absorb(check_golden_cases())
+def _suite_kc(rng: random.Random) -> Iterator[list[str]]:
+    yield check_golden_cases()
     for lengths in enumerate_kraft_multisets(4):
-        result.absorb(check_invariants_along(list(lengths)))
+        yield check_invariants_along(list(lengths))
     for _ in range(200):
-        result.absorb(check_invariants_along(
-            random_kraft_lengths(rng, 30, 12)))
-    return result
+        yield check_invariants_along(random_kraft_lengths(rng, 30, 12))
 
 
-def _suite_oracle(seed: int) -> SuiteResult:
-    rng = random.Random(seed)
-    result = SuiteResult("oracle")
+def _suite_oracle(rng: random.Random) -> Iterator[list[str]]:
     for lengths in enumerate_kraft_multisets(4):
-        result.absorb(check_differential(list(lengths)))
+        yield check_differential(list(lengths))
     for _ in range(500):
-        result.absorb(check_differential(random_kraft_lengths(rng, 30, 12)))
+        yield check_differential(random_kraft_lengths(rng, 30, 12))
     for _ in range(200):
         combined = random_kraft_lengths(rng, 30, 12)
         cut = rng.randint(0, len(combined))
-        result.absorb(check_extension_split(combined[:cut], combined[cut:]))
-    return result
+        yield check_extension_split(combined[:cut], combined[cut:])
 
 
-def _suite_repce(seed: int) -> SuiteResult:
-    rng = random.Random(seed)
-    result = SuiteResult("repce")
+def _suite_repce(rng: random.Random) -> Iterator[list[str]]:
     for _ in range(50):
-        terms = random_increasing_rationals(rng, rng.randint(1, 30))
-        result.absorb(check_decomposition(terms))
-    return result
+        yield check_decomposition(random_increasing_rationals(rng, rng.randint(1, 30)))
 
 
-def _suite_omega(seed: int) -> SuiteResult:
-    rng = random.Random(seed)
-    result = SuiteResult("omega")
+def _suite_omega(rng: random.Random) -> Iterator[list[str]]:
     for _ in range(25):
         table = random_table(rng, 12, 8)
-        result.absorb(check_transform(table))
-        result.absorb(check_tail_bound(table))
+        yield check_transform(table)
+        yield check_tail_bound(table)
     for _ in range(15):
-        group = [random_table(rng, 6, 6) for _ in range(rng.randint(1, 4))]
-        result.absorb(check_combined_overhead(group))
-    return result
+        yield check_combined_overhead(
+            [random_table(rng, 6, 6) for _ in range(rng.randint(1, 4))])
 
 
-def _suite_dominate(seed: int) -> SuiteResult:
-    rng = random.Random(seed)
-    result = SuiteResult("dominate")
+def _suite_dominate(rng: random.Random) -> Iterator[list[str]]:
     for _ in range(20):
         count = rng.randint(2, 20)
         a_terms = random_increasing_rationals(rng, count)
         b_terms = random_increasing_rationals(rng, count)
-        result.absorb(check_test_family(a_terms, b_terms, range(1, 5)))
+        yield check_test_family(a_terms, b_terms, range(1, 5))
     for _ in range(20):
         machine = random_table(rng, 10, 8, nonempty=True)
         c = rng.randint(0, 4)
         budget = 1 - pow2_neg(c).as_fraction() * machine.domain_measure().as_fraction()
-        gamma = random_gamma_lengths(rng, budget, 8)
-        result.absorb(check_omega_composition(machine, c, gamma))
-    return result
+        yield check_omega_composition(machine, c, random_gamma_lengths(rng, budget, 8))
 
 
-def _suite_mltest(seed: int) -> SuiteResult:
-    rng = random.Random(seed)
-    result = SuiteResult("mltest")
+def _suite_mltest(rng: random.Random) -> Iterator[list[str]]:
     for _ in range(20):
-        table = random_table(rng, 10, 8, max_out=6)
-        result.absorb(check_complexity_test(table))
+        yield check_complexity_test(random_table(rng, 10, 8, max_out=6))
     for n_top in (2, 3, 4):
-        stages = [mltest.PrefixSetStage(n * n, ("1" * (n * n),))
-                  for n in range(2, n_top + 1)]
-        result.absorb(check_compression_family(stages))
+        yield check_compression_family([mltest.PrefixSetStage(n * n, ("1" * (n * n),))
+                                        for n in range(2, n_top + 1)])
     for _ in range(20):
         stage = mltest.PrefixSetStage(4, tuple(
             w for w, _ in random_table(rng, 6, 8).entries if len(w) >= 4))
-        result.absorb(check_membership_monotone(rng, stage))
-    return result
+        yield check_membership_monotone(rng, stage)
 
 
-_SUITES: dict[str, Callable[[int], SuiteResult]] = {
+_SUITES: dict[str, Callable[[random.Random], Iterator[list[str]]]] = {
     "kc": _suite_kc,
     "oracle": _suite_oracle,
     "repce": _suite_repce,
@@ -523,11 +504,20 @@ _SUITES: dict[str, Callable[[int], SuiteResult]] = {
     "mltest": _suite_mltest,
 }
 
+SUITE_NAMES = tuple(_SUITES)
+
 
 def run_suites(names: Sequence[str], seed: int = DEFAULT_SEED) -> list[SuiteResult]:
-    """Run the named suites (or all of them for ``all``) with one seed."""
-    chosen = list(SUITE_NAMES) if "all" in names else list(names)
+    """Run the named suites (or all of them for ``all``), each on a fresh
+    ``random.Random(seed)``."""
+    chosen = SUITE_NAMES if "all" in names else names
     unknown = [n for n in chosen if n not in _SUITES]
     if unknown:
         raise ValueError(f"unknown suite(s): {', '.join(unknown)}")
-    return [_SUITES[name](seed) for name in chosen]
+    results = []
+    for name in chosen:
+        result = SuiteResult(name)
+        for failure_list in _SUITES[name](random.Random(seed)):
+            result.absorb(failure_list)
+        results.append(result)
+    return results

@@ -16,9 +16,9 @@ EXPORTS = [
     "chaitin_transform_table", "check_domination", "check_invariants",
     "combine_universal", "complexity", "complexity_test_stage", "compose",
     "compression_requests", "dyadic_decompose", "extend_prefix",
-    "extract_witness", "format_rational", "interleave_requests",
+    "extract_witness", "interleave_requests",
     "measure_of_lengths", "new_allocator", "omega_approx",
-    "omega_rep_compose", "parse_rational", "pow2_neg",
+    "omega_rep_compose", "pow2_neg",
     "representation_partial", "stage_membership", "to_machine",
 ]
 

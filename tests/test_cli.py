@@ -200,9 +200,8 @@ class TestDominate:
     def test_needs_c_or_m(self, tmp_path, capsys):
         a = write(tmp_path, "a.txt", "1/4\n")
         b = write(tmp_path, "b.txt", "1/8\n")
-        code, _, err = run(capsys, ["dominate", a, b])
-        assert code == 2
-        assert "needs --c" in err
+        assert run(capsys, ["dominate", a, b]) == (
+            2, "", "error: dominate needs --c (check) or --m (witness)\n")
 
     def test_length_mismatch_exits_3(self, tmp_path, capsys):
         a = write(tmp_path, "a.txt", "1/4\n1/2\n")
@@ -808,3 +807,42 @@ class TestVerify:
         _, first, _ = run(capsys, ["verify", "kc", "--seed", "1"])
         _, second, _ = run(capsys, ["verify", "kc", "--seed", "99"])
         assert first == second
+
+    @pytest.mark.parametrize("seed", ["1729", "3"])
+    def test_all_is_the_single_suites_in_order(self, capsys, seed):
+        singles = [run(capsys, ["verify", suite, "--seed", seed])
+                   for suite in verify.SUITE_NAMES]
+        assert all((code, err) == (0, "") for code, _, err in singles)
+        body = "".join(out.splitlines(keepends=True)[0] for _, out, _ in singles)
+        assert run(capsys, ["verify", "all", "--seed", seed]) == (
+            0, body + "total: 1503 passed, 0 failed\n", "")
+
+    REPCE_FAILING = ("repce: 47 passed, 3 failed\n"
+                     "  call 2 message 1\n  call 2 message 2\n  call 2 message 3\n"
+                     "  call 7 message 1\n  call 7 message 2\n  call 7 message 3\n"
+                     "  call 11 only message\n")
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["verify", "repce"], REPCE_FAILING + "total: 47 passed, 3 failed\n"),
+        (["verify", "all", "--seed", "3"],
+         "kc: 403 passed, 0 failed\noracle: 902 passed, 0 failed\n"
+         + REPCE_FAILING
+         + "omega: 65 passed, 0 failed\ndominate: 40 passed, 0 failed\n"
+           "mltest: 43 passed, 0 failed\ntotal: 1500 passed, 3 failed\n"),
+    ])
+    def test_failures_exit_3_with_three_messages_each(self, capsys, monkeypatch,
+                                                      argv, expected):
+        real = verify.check_decomposition
+        calls = []
+
+        def failing(terms):
+            calls.append(terms)
+            n = len(calls)
+            if n in (2, 7):
+                return [f"call {n} message {i}" for i in range(1, 5)]
+            if n == 11:
+                return ["call 11 only message"]
+            return real(terms)
+        monkeypatch.setattr(verify, "check_decomposition", failing)
+        assert run(capsys, argv) == (3, expected, "")
+        assert len(calls) == 50

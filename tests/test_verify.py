@@ -1,7 +1,8 @@
 """Seeded generators of ``omegalib.verify``: differential tests against the
 list-filtering draws and the recursive multiset walk they replaced, and
 digests that pin the families the acceptance sweeps and the benchmark use.
-Also the failure messages of ``check_invariants_along``."""
+Also the failure messages of ``check_invariants_along``, and the checks the
+suite runner makes."""
 
 import hashlib
 import random
@@ -11,7 +12,7 @@ from typing import Iterator
 
 import pytest
 
-from omegalib import codespace
+from omegalib import codespace, verify
 from omegalib.exact import Dyadic
 from omegalib.verify import (check_invariants_along, enumerate_kraft_multisets,
                              random_gamma_lengths, random_kraft_lengths)
@@ -198,3 +199,63 @@ class TestCheckInvariantsAlong:
                    lambda state, word: setattr(state, "mass_allocated", Dyadic(0)))
         assert check_invariants_along([1]) == [
             "['mass_matches_ledger'] after request 0 of [1]"]
+
+
+class TestRunner:
+    """Passing suites print only counts, so the calls they make are pinned:
+    per suite at seed 1729, the number of checks and the sha256 of the
+    ``(check name, repr(args))`` log.  A ``random.Random`` argument is logged
+    by its state, because its repr is its address."""
+
+    CALL_LOGS = {
+        "kc": (403, "b25bf83769ce3d957e05efa08d2a6351bd2dd95849a1e84d182d187220a26f17"),
+        "oracle": (902, "9111d7e019ffccbecf310941b9e49bd7c6485b9f9e7d92f08540a0c6221224d5"),
+        "repce": (50, "711225a956d0083201e0e7e54119f32f861a52eb4baf1fe34d53d04d3583ea1b"),
+        "omega": (65, "a9f8b44409deea48f9c9f90d8df1602dab50929d52f94d708d3dc68c548a1248"),
+        "dominate": (40, "2ac17bfb3c31b2efd6d8b8ac1efe324e159f856cbd1f0dbda36004cc75e91bdb"),
+        "mltest": (43, "ed8a667f5161fffd4957bd30df225462fb62f1f61b01d2fc459ceb496400b5cb"),
+    }
+
+    @staticmethod
+    def record(monkeypatch) -> list[tuple[str, str]]:
+        """Wrap every ``check_*`` of ``verify`` so that each call is logged."""
+        log = []
+        for name, check in list(vars(verify).items()):
+            if name.startswith("check_") and callable(check):
+                def recorder(*args, _name=name, _check=check):
+                    log.append((_name, repr(tuple(
+                        a.getstate() if isinstance(a, random.Random) else a
+                        for a in args))))
+                    return _check(*args)
+                monkeypatch.setattr(verify, name, recorder)
+        return log
+
+    def test_every_suite_is_pinned(self):
+        assert tuple(self.CALL_LOGS) == verify.SUITE_NAMES
+
+    @pytest.mark.parametrize("suite", list(CALL_LOGS))
+    def test_call_log(self, monkeypatch, suite):
+        log = self.record(monkeypatch)
+        [result] = verify.run_suites([suite], seed=1729)
+        assert (len(log), sha256_of(log)) == self.CALL_LOGS[suite]
+        assert (result.name, result.passed, result.failed) == (suite, len(log), 0)
+
+    def test_all_makes_the_single_suites_calls(self, monkeypatch):
+        log = self.record(monkeypatch)
+        for suite in verify.SUITE_NAMES:
+            verify.run_suites([suite], seed=3)
+        singles = log[:]
+        log.clear()
+        verify.run_suites(["all"], seed=3)
+        assert log == singles
+
+    @pytest.mark.parametrize("names, message", [
+        (["nope"], "unknown suite(s): nope"),
+        (["kc", "nope", "bad"], "unknown suite(s): nope, bad"),
+    ])
+    def test_unknown_suite_runs_nothing(self, monkeypatch, names, message):
+        log = self.record(monkeypatch)
+        with pytest.raises(ValueError) as info:
+            verify.run_suites(names)
+        assert str(info.value) == message
+        assert log == []
