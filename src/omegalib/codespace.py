@@ -4,17 +4,23 @@ The allocator owns a pool of *free prefixes*: binary words whose cylinders
 partition the part of code space not yet spoken for.  The pool is kept
 shortest first, strictly sorted by increasing length, which forces
 pairwise-distinct lengths and makes "the longest free word of length <= n" the
-last word of length <= n in pool order.  Serving a length-``n`` request splits
-that word's subtree: the all-zeros extension of length ``n`` becomes the new
+last word of length <= n in pool order.  The lengths start at 0 or more and
+rise by at least one per index, so that word sits at an index <= n and the
+search is bounded by ``n + 1``.  Serving a length-``n`` request splits that
+word's subtree: the all-zeros extension of length ``n`` becomes the new
 codeword and the siblings along the spine return to the pool, in its place and
-shortest first.  The split lives only in ``allocate``; ``extend_prefix`` is
-``allocate`` on a one-word pool.  The mass ledger is a raw integer at the
-scale of the longest issued length, canonical on read.  Five checkable
-invariants tie it together: the free pool plus the issued codewords stay
-prefix-free, together they carry measure exactly one, the issued mass matches
-the ledger, pending request lengths fit inside the free measure, and the pool
-lengths stay strictly increasing.  The pick's binary search relies on the last
-one: a hand-built pool that breaks it is not a valid ``allocate`` input.
+shortest first.  The split has three shapes: an exact fit issues the word
+itself and removes it, a one-step split overwrites it with its one sibling,
+and a deeper split splices in the spine's siblings.  So a request costs one
+bounded search plus work proportional to its split depth.  The split lives
+only in ``allocate``; ``extend_prefix`` is ``allocate`` on a one-word pool.
+The mass ledger is a raw integer at the scale of the longest issued length,
+canonical on read.  Five checkable invariants tie it together: the free pool
+plus the issued codewords stay prefix-free, together they carry measure
+exactly one, the issued mass matches the ledger, pending request lengths fit
+inside the free measure, and the pool lengths stay strictly increasing.  The
+pick's bounded binary search relies on the last one: a hand-built pool that
+breaks it is not a valid ``allocate`` input.
 ``check_invariants`` re-derives all five from the raw state in one sweep: one
 sort of the union with a test of adjacent words for prefixes, and masses summed
 as integers at one common scale.  When the union fails, the report names a
@@ -82,29 +88,49 @@ def allocate(state: AllocatorState, n: int) -> str:
 
     Picks the longest free word of length <= n by binary search over the
     strictly sorted pool (such a word exists exactly when the free measure is
-    at least ``2**-n``), builds its all-zeros extension of length ``n``,
-    splices the siblings along that spine into its place, shortest first, and
-    appends the codeword to ``state.allocated``.  Raises InsufficientMass when
-    no word fits.  The word is built before the pool changes, so a call that
-    raises leaves the state as it was.  Pool words are the allocator's own and
-    are not re-validated; the raw ledger grows by one shift-and-add.
+    at least ``2**-n``) and appends its all-zeros extension of length ``n``
+    to ``state.allocated``.  Pool lengths are natural numbers in strictly
+    increasing order, so the word at index ``i`` is at least ``i`` long and
+    every fit lies below index ``n + 1``: the search stops there.  The split has three shapes.  An
+    exact fit issues the stem itself and drops it from the pool; a one-step
+    split issues ``stem + "0"`` and writes ``stem + "1"`` into the stem's
+    slot; a deeper split splices the siblings along the spine into the
+    stem's slot, shortest first.  So a request costs one bounded search plus
+    work proportional to its split depth.  Raises ValueError for a negative
+    ``n`` and InsufficientMass when no word fits.  The ledger grows by one shift-and-add before the pool
+    changes, so a length that is not an int fails before the pool does and
+    a call that raises leaves the state as it was.  Pool words are the
+    allocator's own and are not re-validated.
     """
-    if n < 0:
-        raise ValueError("codeword lengths are natural numbers")
     free = state.free
-    pick = bisect_right(free, n, key=len) - 1
+    # hi = min(n + 1, len(free)), without the cost of a builtin call.
+    hi = len(free)
+    if n < hi:
+        hi = n + 1
+    pick = bisect_right(free, n, 0, hi, key=len) - 1
     if pick < 0:
+        # A negative n fits nowhere, so it is told apart only here.
+        if n < 0:
+            raise ValueError("codeword lengths are natural numbers")
         raise InsufficientMass(n)
-    stem = free[pick]
-    word = stem + "0" * (n - len(stem))
-    free[pick:pick + 1] = [word[:j] + "1" for j in range(len(stem), n)]
-    state.allocated.append(word)
     scale = state._scale
     if n > scale:
         state._issued = (state._issued << (n - scale)) + 1
         state._scale = n
     else:
         state._issued += 1 << (scale - n)
+    stem = free[pick]
+    depth = n - len(stem)
+    if depth == 0:
+        del free[pick]
+        word = stem
+    elif depth == 1:
+        word = stem + "0"
+        free[pick] = stem + "1"
+    else:
+        word = stem + "0" * depth
+        free[pick:pick + 1] = [word[:j] + "1" for j in range(len(stem), n)]
+    state.allocated.append(word)
     return word
 
 

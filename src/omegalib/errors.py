@@ -13,15 +13,22 @@ class InsufficientMass(OmegalibError):
     """A codeword request exceeds the measure left in the free pool.
 
     ``index`` is the zero-based position of the offending request when the
-    failure happened inside a batch, else ``None``.
+    failure happened inside a batch, else ``None``.  ``args`` is always
+    ``(length, index)``, so copies and pickles rebuild the same exception;
+    ``length`` and ``index`` are read from it and the message is formatted
+    on demand.
     """
 
     def __init__(self, length: int, index: int | None = None):
-        # ``args`` holds the constructor arguments, so copies and pickles
-        # rebuild the same exception; the message is formatted on demand.
-        super().__init__(length, index)
-        self.length = length
-        self.index = index
+        self.args = (length, index)
+
+    @property
+    def length(self) -> int:
+        return self.args[0]
+
+    @property
+    def index(self) -> int | None:
+        return self.args[1]
 
     def __str__(self) -> str:
         where = f" (request index {self.index})" if self.index is not None else ""

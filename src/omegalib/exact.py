@@ -176,16 +176,19 @@ class Interval:
     """Half-open rational interval ``[lo, hi)``; empty exactly when lo == hi.
 
     Both endpoints go through ``as_fraction``, so text and floats raise
-    TypeError.
+    TypeError.  Two exact ``Fraction`` endpoints (what ``build_test`` always
+    passes) are kept as they are.
     """
 
     lo: Fraction
     hi: Fraction
 
     def __post_init__(self):
-        lo, hi = as_fraction(self.lo), as_fraction(self.hi)
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+        lo, hi = self.lo, self.hi
+        if type(lo) is not Fraction or type(hi) is not Fraction:
+            lo, hi = as_fraction(lo), as_fraction(hi)
+            object.__setattr__(self, "lo", lo)
+            object.__setattr__(self, "hi", hi)
         # lo > hi, cross-multiplied over the positive denominators
         if lo.numerator * hi.denominator > hi.numerator * lo.denominator:
             raise ValueError(f"interval endpoints out of order: {lo} > {hi}")

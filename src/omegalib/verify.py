@@ -510,10 +510,10 @@ SUITE_NAMES = tuple(_SUITES)
 def run_suites(names: Sequence[str], seed: int = DEFAULT_SEED) -> list[SuiteResult]:
     """Run the named suites (or all of them for ``all``), each on a fresh
     ``random.Random(seed)``."""
-    chosen = SUITE_NAMES if "all" in names else names
-    unknown = [n for n in chosen if n not in _SUITES]
+    unknown = [n for n in names if n != "all" and n not in _SUITES]
     if unknown:
         raise ValueError(f"unknown suite(s): {', '.join(unknown)}")
+    chosen = SUITE_NAMES if "all" in names else names
     results = []
     for name in chosen:
         result = SuiteResult(name)

@@ -3,8 +3,9 @@
 import copy
 import pickle
 import random
+from collections import Counter
 from fractions import Fraction
-from itertools import takewhile
+from itertools import product, takewhile
 
 import pytest
 from hypothesis import given, strategies as st
@@ -74,6 +75,9 @@ class TestAllocate:
 
     @pytest.mark.parametrize("n, error", [
         (-1, ValueError), (1, InsufficientMass), (2.5, TypeError),
+        # Integral floats reach an exact fit (2.0, 3.0) or a one-step split
+        # (4.0), and still fail before the pool changes.
+        (2.0, TypeError), (3.0, TypeError), (4.0, TypeError),
     ])
     def test_raising_call_leaves_state_untouched(self, n, error):
         state = new_allocator()
@@ -84,6 +88,30 @@ class TestAllocate:
         with pytest.raises(error):
             allocate(state, n)
         assert (state.free, state.allocated, state.mass_allocated) == before
+
+    @pytest.mark.parametrize("served", [
+        [0],            # empty pool: all of code space issued
+        [],             # fresh pool: the empty word
+        [40],           # full pool: one free word of every length 1..40
+    ])
+    @pytest.mark.parametrize("n", [-1, -2, -41])
+    def test_negative_length_refused_on_any_pool(self, served, n):
+        state = new_allocator()
+        for length in served:
+            allocate(state, length)
+        before = (list(state.free), list(state.allocated), state.mass_allocated)
+        with pytest.raises(ValueError, match="natural numbers"):
+            allocate(state, n)
+        assert (state.free, state.allocated, state.mass_allocated) == before
+
+    def test_refusal_args_name_length_and_index(self):
+        refusal = InsufficientMass(3)
+        assert refusal.args == (3, None)
+        assert (refusal.length, refusal.index) == (3, None)
+        assert InsufficientMass(3, 7).args == (3, 7)
+        with pytest.raises(InsufficientMass) as info:
+            allocate(AllocatorState(free=[]), 4)
+        assert info.value.args == (4, None)
 
     def test_fresh_states_share_no_lists(self):
         first, second = AllocatorState(), AllocatorState()
@@ -291,16 +319,30 @@ def _serve(alloc, state, n):
         return None
 
 
-def assert_same_run(lengths) -> int:
+# The split a request makes, by its depth: a depth-d split takes one word
+# from the pool and returns d.
+SHAPES = {"exact", "one-step", "deeper", "refused"}
+_SHAPE_BY_DEPTH = {0: "exact", 1: "one-step"}
+
+
+def assert_same_run(lengths, free: list[str] | None = None) -> Counter:
     """Serve ``lengths`` through both allocators, comparing after every step.
 
-    Returns the number of refusals, so callers can tell the stream reached
-    Kraft exhaustion.
+    Both start from the pool ``free`` (shortest first; all of code space if
+    omitted).  Returns how many requests took each of the ``SHAPES``, so
+    callers can tell which split paths a stream exercised and whether it
+    reached Kraft exhaustion.
     """
-    old, new = new_allocator(), new_allocator()
-    refused = 0
+    old = AllocatorState(free=None if free is None else free[::-1])
+    new = AllocatorState(free=None if free is None else list(free))
+    shapes = Counter()
     for i, n in enumerate(lengths):
+        pool_before = len(old.free)
         expected = _serve(reference_allocate, old, n)
+        if expected is None:
+            shapes["refused"] += 1
+        else:
+            shapes[_SHAPE_BY_DEPTH.get(len(old.free) - pool_before + 1, "deeper")] += 1
         assert _serve(allocate, new, n) == expected, (i, n)
         # The reference keeps the pool longest first, ``allocate`` shortest first.
         assert new.free == old.free[::-1], (i, n)
@@ -308,9 +350,8 @@ def assert_same_run(lengths) -> int:
         assert len(new.allocated) == len(old.allocated), (i, n)
         assert new.allocated[-1:] == old.allocated[-1:], (i, n)
         assert new.mass_allocated == old.mass_allocated, (i, n)
-        refused += expected is None
     assert new.allocated == old.allocated
-    return refused
+    return shapes
 
 
 def _orderings(multiset, rng):
@@ -319,24 +360,91 @@ def _orderings(multiset, rng):
     return [list(multiset), list(multiset[::-1]), shuffled]
 
 
+def _alloc_stream_lengths(rng: random.Random, size: int) -> list[int]:
+    """Lengths shaped like the benchmark's request streams: shuffled blocks
+    holding each of 12..28 once, and one request in each block of a hundred,
+    at a random place, of 500 to 1000 bits."""
+    lengths: list[int] = []
+    while len(lengths) < size:
+        block = list(range(12, 29))
+        rng.shuffle(block)
+        lengths += block
+    del lengths[size:]
+    for start in range(0, size, 100):
+        lengths[start + rng.randrange(min(100, size - start))] = rng.randint(500, 1000)
+    return lengths
+
+
 class TestDifferentialAgainstLinearScan:
     def test_exhaustive_multisets_in_three_orders(self):
         rng = random.Random(2)
+        shapes = Counter()
         for multiset in enumerate_kraft_multisets(6):
             for order in _orderings(multiset, rng):
                 # A trailing 0 and 6 probe the refusal path and the last gap.
-                assert_same_run(order + [0, 6])
+                shapes.update(assert_same_run(order + [0, 6]))
+        assert set(shapes) == SHAPES
 
     def test_seeded_random_kraft_sequences(self):
         rng = random.Random(3)
+        shapes = Counter()
         for _ in range(2_000):
-            assert_same_run(random_kraft_lengths(rng, 50, 16))
+            shapes.update(assert_same_run(random_kraft_lengths(rng, 50, 16)))
+        assert set(shapes) == {"exact", "one-step", "deeper"}
 
     def test_mixed_stream_past_exhaustion(self):
         rng = random.Random(5)
         lengths = [rng.randint(200, 400) if i % 50 == 49 else rng.randint(12, 28)
                    for i in range(40_000)]
-        assert assert_same_run(lengths) > 0
+        shapes = assert_same_run(lengths)
+        assert shapes["refused"] > 0
+        assert set(shapes) == SHAPES
+
+    def test_alloc_stream_shaped_run_past_exhaustion(self):
+        # Four short requests take 15/16 of code space first, so the shallow
+        # stream reaches Kraft exhaustion within a few thousand requests.
+        lengths = [1, 2, 3, 4] + _alloc_stream_lengths(random.Random(7), 3_000)
+        state = new_allocator()
+        widest = 0
+        for n in lengths:
+            _serve(allocate, state, n)
+            widest = max(widest, len(state.free))
+        assert widest > 900
+        shapes = assert_same_run(lengths)
+        assert shapes["refused"] > 500
+        assert set(shapes) == SHAPES
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_hand_built_pools_at_each_length(self, n):
+        # Every valid pool with at most one word of each length 1..4; served
+        # at n, the search bound n + 1 lies below, at or past the pool's end.
+        by_length = [[None, *(format(i, f"0{k}b") for i in range(2 ** k))]
+                     for k in range(1, 5)]
+        pools = 0
+        for choice in product(*by_length):
+            pool = [w for w in choice if w is not None]
+            if prefix_free(pool):
+                pools += 1
+                assert_same_run([n, n, 4, 2], free=pool)
+        assert pools > 500
+
+    @pytest.mark.parametrize("free, lengths, codewords, after", [
+        # n + 1 == len(free): the search covers the whole pool.
+        (["1", "01", "001"], [2], ["01"], ["1", "001"]),
+        # n + 1 > len(free): the bound is the pool's length.
+        (["1", "01", "001"], [5], ["00100"], ["1", "01", "0011", "00101"]),
+        (["1", "01", "001"], [3, 4], ["001", "0100"], ["1", "011", "0101"]),
+        # n + 1 < len(free): the pool's longer words lie past the bound.
+        (["1", "01", "001"], [1, 0], ["1", None], ["01", "001"]),
+        # n = 0 on a fresh state: the fit is at index n itself.
+        ([""], [0, 0], ["", None], []),
+        ([], [0, 3], [None, None], []),
+    ])
+    def test_search_bound_edges(self, free, lengths, codewords, after):
+        state = AllocatorState(free=list(free))
+        assert [_serve(allocate, state, n) for n in lengths] == codewords
+        assert state.free == after
+        assert_same_run(lengths, free=free)
 
     @pytest.mark.parametrize("stem, target", [
         ("", 0), ("", 1), ("", 7), ("1", 1), ("0110", 4), ("0110", 9),

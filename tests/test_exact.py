@@ -192,6 +192,7 @@ class TestInterval:
 
     @pytest.mark.parametrize("lo, hi", [
         ("0.5", 1), (0, "1/2"), (0.25, 0.5), (Fraction(1, 4), 0.5),
+        (0.5, Fraction(3, 4)), ("1/4", Fraction(1, 2)), (Fraction(1, 4), "1/2"),
     ])
     def test_refuses_text_and_floats(self, lo, hi):
         with pytest.raises(TypeError):
@@ -203,6 +204,34 @@ class TestInterval:
         assert iv.lo is exact
         assert iv.hi == Fraction(1, 2) and type(iv.hi) is Fraction
         assert Interval(0, 1).measure == 1
+
+    class Third(Fraction):
+        pass
+
+    @pytest.mark.parametrize("lo, hi", [
+        (0, 1), (True, 3), (Dyadic(1, 2), Dyadic(3, 2)), (Third(1, 3), Third(1, 2)),
+        (Fraction(1, 5), Third(1, 2)), (Third(1, 5), Fraction(1, 2)),
+        (0, Fraction(1, 2)), (Fraction(1, 5), Dyadic(1, 1)),
+    ])
+    def test_inexact_endpoint_types_become_exact_fractions(self, lo, hi):
+        iv = Interval(lo, hi)
+        assert type(iv.lo) is Fraction and type(iv.hi) is Fraction
+        assert (iv.lo, iv.hi) == (lo, hi)
+
+    def test_exact_fraction_endpoints_are_kept(self):
+        lo, hi = Fraction(1, 3), Fraction(1, 2)
+        iv = Interval(lo, hi)
+        assert iv.lo is lo and iv.hi is hi
+
+    @pytest.mark.parametrize("lo, hi, message", [
+        (Fraction(1, 2), Fraction(1, 4), "interval endpoints out of order: 1/2 > 1/4"),
+        (1, 0, "interval endpoints out of order: 1 > 0"),
+        (Dyadic(3, 2), Fraction(1, 2), "interval endpoints out of order: 3/4 > 1/2"),
+    ])
+    def test_out_of_order_message(self, lo, hi, message):
+        with pytest.raises(ValueError) as info:
+            Interval(lo, hi)
+        assert str(info.value) == message
 
 
 class TestSerialization:

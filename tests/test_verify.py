@@ -252,6 +252,8 @@ class TestRunner:
     @pytest.mark.parametrize("names, message", [
         (["nope"], "unknown suite(s): nope"),
         (["kc", "nope", "bad"], "unknown suite(s): nope, bad"),
+        (["nope", "all"], "unknown suite(s): nope"),
+        (["all", "kc", "bad"], "unknown suite(s): bad"),
     ])
     def test_unknown_suite_runs_nothing(self, monkeypatch, names, message):
         log = self.record(monkeypatch)
@@ -259,3 +261,11 @@ class TestRunner:
             verify.run_suites(names)
         assert str(info.value) == message
         assert log == []
+
+    def test_all_among_names_runs_each_suite_once(self, monkeypatch):
+        ran = []
+        monkeypatch.setattr(verify, "_SUITES", {
+            name: (lambda rng, _name=name: ran.append(_name) or iter(()))
+            for name in verify.SUITE_NAMES})
+        results = verify.run_suites(["kc", "all"])
+        assert [r.name for r in results] == ran == list(verify.SUITE_NAMES)
