@@ -15,7 +15,10 @@ _BITS = frozenset("01")
 
 # Longest request or program length the text formats accept.  Serving one
 # length-n request builds about n**2 / 2 characters of spine words: at this
-# cap one request takes about 0.16 s and 135 MB.
+# cap, ``omegalib allocate`` on the one line ``16384<TAB>-`` peaks at 153 MB
+# of process RSS (17 MB on empty input) and takes 0.21-0.26 s of wall time,
+# 0.10-0.14 s of it interpreter start-up (child ru_maxrss and wall clock,
+# 5 runs, 2-CPU VM, Python 3.11.7).
 MAX_TEXT_LENGTH = 1 << 14
 
 

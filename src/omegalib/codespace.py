@@ -11,9 +11,11 @@ word's subtree: the all-zeros extension of length ``n`` becomes the new
 codeword and the siblings along the spine return to the pool, in its place and
 shortest first.  The split has three shapes: an exact fit issues the word
 itself and removes it, a one-step split overwrites it with its one sibling,
-and a deeper split splices in the spine's siblings.  So a request costs one
-bounded search plus work proportional to its split depth.  The split lives
-only in ``allocate``; ``extend_prefix`` is ``allocate`` on a one-word pool.
+and a deeper split walks the spine once, one concatenation per sibling with
+the codeword grown along the way, and splices in the siblings.  So a request
+costs one bounded search plus work proportional to its split depth.  The split
+lives only in ``allocate``; ``extend_prefix`` is ``allocate`` on a one-word
+pool.
 The mass ledger is a raw integer at the scale of the longest issued length,
 canonical on read.  Five checkable invariants tie it together: the free pool
 plus the issued codewords stay prefix-free, together they carry measure
@@ -87,20 +89,22 @@ def allocate(state: AllocatorState, n: int) -> str:
     """Issue a codeword of length ``n``, consuming ``2**-n`` of free measure.
 
     Picks the longest free word of length <= n by binary search over the
-    strictly sorted pool (such a word exists exactly when the free measure is
-    at least ``2**-n``) and appends its all-zeros extension of length ``n``
-    to ``state.allocated``.  Pool lengths are natural numbers in strictly
-    increasing order, so the word at index ``i`` is at least ``i`` long and
-    every fit lies below index ``n + 1``: the search stops there.  The split has three shapes.  An
-    exact fit issues the stem itself and drops it from the pool; a one-step
-    split issues ``stem + "0"`` and writes ``stem + "1"`` into the stem's
-    slot; a deeper split splices the siblings along the spine into the
-    stem's slot, shortest first.  So a request costs one bounded search plus
-    work proportional to its split depth.  Raises ValueError for a negative
-    ``n`` and InsufficientMass when no word fits.  The ledger grows by one shift-and-add before the pool
-    changes, so a length that is not an int fails before the pool does and
-    a call that raises leaves the state as it was.  Pool words are the
-    allocator's own and are not re-validated.
+    strictly sorted pool (such a word exists exactly when the free measure
+    is at least ``2**-n``) and appends its all-zeros extension of length
+    ``n`` to ``state.allocated``.  Pool lengths are natural numbers in
+    strictly increasing order, so the word at index ``i`` is at least ``i``
+    long and every fit lies below index ``n + 1``: the search stops there.
+    The split has three shapes.  An exact fit issues the stem itself and
+    drops it from the pool; a one-step split issues ``stem + "0"`` and
+    writes ``stem + "1"`` into the stem's slot; a deeper split walks the
+    spine once, one concatenation per sibling, growing the codeword along
+    the way, and splices the siblings into the stem's slot, shortest first.
+    So a request costs one bounded search plus work proportional to its
+    split depth.  Raises ValueError for a negative ``n`` and
+    InsufficientMass when no word fits.  The ledger grows by one
+    shift-and-add before the pool changes, so a length that is not an int
+    fails before the pool does and a call that raises leaves the state as
+    it was.  Pool words are the allocator's own and are not re-validated.
     """
     free = state.free
     # hi = min(n + 1, len(free)), without the cost of a builtin call.
@@ -128,8 +132,12 @@ def allocate(state: AllocatorState, n: int) -> str:
         word = stem + "0"
         free[pick] = stem + "1"
     else:
-        word = stem + "0" * depth
-        free[pick:pick + 1] = [word[:j] + "1" for j in range(len(stem), n)]
+        siblings = []
+        word = stem
+        for _ in range(depth):
+            siblings.append(word + "1")
+            word += "0"
+        free[pick:pick + 1] = siblings
     state.allocated.append(word)
     return word
 

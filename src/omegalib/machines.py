@@ -193,8 +193,32 @@ def parse_table_lines(lines: Iterable[str]) -> MachineTable:
     """Parse ``program<TAB>output`` lines; ``-`` stands for the empty word.
 
     Every error names its line.  A program longer than
-    ``bits.MAX_TEXT_LENGTH`` raises ValueError.
+    ``bits.MAX_TEXT_LENGTH`` raises ValueError.  One pass checks only the
+    structure (one tab per non-blank line, the program cap) and leaves the
+    alphabet to ``MachineTable``'s one check of the joined words.  If
+    either fails, or a line is not a ``str``, the word-by-word loop runs
+    from the first line, so the first bad line raises its own error.
     """
+    lines = list(lines)
+    entries: list[tuple[str, str]] = []
+    try:
+        for raw in lines:
+            line = raw.strip()
+            if not line:
+                continue
+            program, output = line.split("\t")
+            if program == "-":
+                program = ""
+            elif len(program) > MAX_TEXT_LENGTH:
+                raise ValueError
+            entries.append((program, "" if output == "-" else output))
+        return MachineTable(tuple(entries))
+    except (AttributeError, TypeError, ValueError):
+        return _parse_table_lines_checked(lines)
+
+
+def _parse_table_lines_checked(lines: list[str]) -> MachineTable:
+    """``parse_table_lines`` checking every word as it goes, for its errors."""
     entries: list[tuple[str, str]] = []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()

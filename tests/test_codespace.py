@@ -312,6 +312,15 @@ def reference_allocate(state: AllocatorState, n: int) -> str:
     return words[0]
 
 
+def comprehension_split(stem: str, n: int) -> tuple[str, list[str]]:
+    """The codeword and the siblings of a split of depth 2 or more, built as
+    ``allocate`` built them before it walked the spine once; the two lines
+    are kept literally."""
+    depth = n - len(stem)
+    word = stem + "0" * depth
+    return word, [word[:j] + "1" for j in range(len(stem), n)]
+
+
 def _serve(alloc, state, n):
     try:
         return alloc(state, n)
@@ -406,10 +415,17 @@ class TestDifferentialAgainstLinearScan:
         lengths = [1, 2, 3, 4] + _alloc_stream_lengths(random.Random(7), 3_000)
         state = new_allocator()
         widest = 0
+        depths = Counter()
         for n in lengths:
-            _serve(allocate, state, n)
+            pool_before = len(state.free)
+            if _serve(allocate, state, n) is not None:
+                depths[len(state.free) - pool_before + 1] += 1
             widest = max(widest, len(state.free))
         assert widest > 900
+        # The spine walk runs at every depth band of the benchmark stream.
+        assert depths[2] > 0
+        assert sum(depths[d] for d in range(3, 6)) > 0
+        assert sum(count for d, count in depths.items() if d >= 6) > 0
         shapes = assert_same_run(lengths)
         assert shapes["refused"] > 500
         assert set(shapes) == SHAPES
@@ -449,9 +465,21 @@ class TestDifferentialAgainstLinearScan:
     @pytest.mark.parametrize("stem, target", [
         ("", 0), ("", 1), ("", 7), ("1", 1), ("0110", 4), ("0110", 9),
         ("1" * 40, 41), ("01", 300),
+        *((stem, len(stem) + depth) for stem in ("", "1", "0110", "1" * 40)
+          for depth in (2, 3, 6, 16, 64, 500, 2000)),
     ])
     def test_extend_prefix_matches_reference(self, stem, target):
         assert extend_prefix(stem, target) == reference_extend_prefix(stem, target)
+
+    def test_deep_split_matches_the_comprehension(self):
+        stems = list(takewhile(lambda w: len(w) <= 4, iter_length_lex()))
+        assert len(stems) == 31
+        for stem in stems:
+            for depth in range(2, 71):
+                state = AllocatorState(free=[stem])
+                word = allocate(state, len(stem) + depth)
+                assert (word, state.free) == \
+                    comprehension_split(stem, len(stem) + depth), (stem, depth)
 
     def test_extend_prefix_matches_reference_on_short_stems(self):
         stems = list(takewhile(lambda w: len(w) <= 6, iter_length_lex()))

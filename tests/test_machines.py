@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from omegalib import codespace, machines, verify
-from omegalib.bits import prefix_free, validate_bits
+from omegalib.bits import MAX_TEXT_LENGTH, parse_word, prefix_free, validate_bits
 from omegalib.errors import StageOutOfRange
 from omegalib.machines import (MachineTable, chaitin_transform,
                                chaitin_transform_table,
@@ -432,3 +432,130 @@ class TestTableFiles:
             parse_table_lines(["0 1"])
         with pytest.raises(ValueError):
             parse_table_lines(["0\t2"])
+
+
+# --- ``parse_table_lines`` as it was, checking every word as it reads it,
+# kept literally as the differential reference for the structure-only pass.
+
+def parse_table_lines_word_by_word(lines):
+    entries: list[tuple[str, str]] = []
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        try:
+            fields = line.split("\t")
+            if len(fields) != 2:
+                raise ValueError(f"expected 'program<TAB>output', got {line!r}")
+            program = parse_word(fields[0])
+            if len(program) > MAX_TEXT_LENGTH:
+                raise ValueError(f"program length {len(program)} "
+                                 f"is above the cap of {MAX_TEXT_LENGTH}")
+            entries.append((program, parse_word(fields[1])))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+    return MachineTable(tuple(entries))
+
+
+def parsed(make):
+    """The table ``make()`` returns, or the exception's type and message."""
+    try:
+        return make()
+    except Exception as exc:          # compared, never swallowed
+        return type(exc), str(exc)
+
+
+SMALL_LINES = ["01\t1", "10\t-", "110\t0", "-\t0101"]
+OVER_CAP = "0" * (MAX_TEXT_LENGTH + 1)
+
+
+def bad_lines(line):
+    """``line`` made bad in every way: no tab, three fields, a bad character
+    replacing or inserted at each position of the program and of the
+    output, and a program one past the cap."""
+    yield line.replace("\t", " ")
+    yield line.replace("\t", "")
+    yield line + "\t0"
+    yield "1\t" + line
+    fields = line.split("\t")
+    for side in (0, 1):
+        word = fields[side]
+        for pos in range(len(word) + 1):
+            for bad in ("2", "a", " ", "\u0660", "\u00b9", "\x00"):
+                for cut in (word[:pos] + bad + word[pos + 1:],
+                            word[:pos] + bad + word[pos:]):
+                    changed = list(fields)
+                    changed[side] = cut
+                    yield "\t".join(changed)
+    yield f"{OVER_CAP}\t{fields[1]}"
+
+
+class TestTableFilesDifferential:
+    """The structure-only pass returns the word-by-word parser's table, or
+    raises its first exception with the same type and message."""
+
+    def check(self, make_lines):
+        new = parsed(lambda: parse_table_lines(make_lines()))
+        assert new == parsed(lambda: parse_table_lines_word_by_word(make_lines()))
+        return new
+
+    def test_random_valid_tables(self):
+        rng = random.Random(14)
+        for _ in range(300):
+            t = verify.random_table(rng, 30, 12, max_out=20)
+            lines = format_table_lines(t)
+            assert self.check(lambda: lines) == t
+
+    def test_each_line_made_bad_in_each_way(self):
+        count = 0
+        for i, line in enumerate(SMALL_LINES):
+            for bad in bad_lines(line):
+                lines = SMALL_LINES[:i] + [bad] + SMALL_LINES[i + 1:]
+                result = self.check(lambda: lines)
+                # A space at either end of a line is stripped away, so a
+                # few of these lines are still valid.
+                if not isinstance(result, MachineTable):
+                    assert result[0] is ValueError
+                    assert result[1].startswith(f"line {i + 1}: ")
+                    count += 1
+        assert count > 250
+
+    def test_program_at_and_past_the_cap(self):
+        at_cap = "1" * MAX_TEXT_LENGTH
+        assert self.check(lambda: [f"{at_cap}\t-"]) == table((at_cap, ""))
+        result = self.check(lambda: SMALL_LINES + [f"{OVER_CAP}\t1"])
+        assert result[1].startswith("line 5: program length")
+        result = self.check(lambda: [f"{OVER_CAP}2\t1"])
+        assert result[1].startswith("line 1: not a binary word")
+
+    @pytest.mark.parametrize("structural", ["0 1", "0\t1\t1", "0\t\t1", "0"])
+    def test_bad_word_before_and_after_a_structural_error(self, structural):
+        for bad_word in ("0\t2", "2\t0", "0a\t-"):
+            before = self.check(lambda: ["01\t1", bad_word, "1\t-", structural])
+            assert before[1].startswith("line 2: not a binary word")
+            after = self.check(lambda: ["01\t1", structural, "1\t-", bad_word])
+            assert after[1].startswith("line 2: expected")
+
+    def test_blank_padded_lines_and_dash_fields(self):
+        # strip() removes a tab at either end, so "\t110\t0" is one entry.
+        lines = ["", "  01\t1  ", "\t", " \n", "10\t-\n", "-\t-", "\r\n",
+                 "\t110\t0"]
+        assert self.check(lambda: lines) == \
+            table(("01", "1"), ("10", ""), ("", ""), ("110", "0"))
+        result = self.check(lambda: lines + ["\t- 0"])
+        assert result == (ValueError, "line 9: expected 'program<TAB>output', "
+                          "got '- 0'")
+
+    def test_odd_lines(self):
+        for odd in (b"0\t1", None, 5):
+            self.check(lambda: SMALL_LINES + [odd])
+            self.check(lambda: ["0\t2", odd])
+            self.check(lambda: [odd, "0\t2"])
+
+    def test_list_and_generator_input(self):
+        for lines in (SMALL_LINES, SMALL_LINES + ["1\t2"], SMALL_LINES + ["1"],
+                      []):
+            expected = self.check(lambda: lines)
+            assert self.check(lambda: (line for line in lines)) == expected
+            assert self.check(lambda: iter(lines)) == expected
+            assert self.check(lambda: tuple(lines)) == expected
