@@ -1,25 +1,35 @@
-"""Binary-word helpers: validation, canonical order, prefix machinery.
+"""Binary-word helpers and the rules shared by every text input.
 
 Words are plain ``str`` over the alphabet {'0', '1'}; the empty word is
 legal.  The canonical order used everywhere is length-then-lexicographic,
-with the empty word least.  In text formats an empty word is written ``-``.
+with the empty word least.  In text formats an empty word is written ``-``;
+the caps on one input are the ``MAX_*`` constants below, and ``read_lines``
+is the one line loop of the request, table and rational readers.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from .exact import Dyadic
 
 _BITS = frozenset("01")
 
-# Longest request or program length the text formats accept.  Serving one
-# length-n request builds about n**2 / 2 characters of spine words: at this
-# cap, ``omegalib allocate`` on the one line ``16384<TAB>-`` peaks at 153 MB
-# of process RSS (17 MB on empty input) and takes 0.21-0.26 s of wall time,
-# 0.10-0.14 s of it interpreter start-up (child ru_maxrss and wall clock,
-# 5 runs, 2-CPU VM, Python 3.11.7).
-MAX_TEXT_LENGTH = 1 << 14
+_T = TypeVar("_T")
+
+# Caps on what one input may ask for, each checked before any output.
+# Serving one length-n request builds about n**2 / 2 characters of spine
+# words: at the length cap, ``omegalib allocate`` on the one line
+# ``16384<TAB>-`` peaks at 153 MB of process RSS (17 MB on empty input) and
+# takes 0.21-0.26 s of wall time, 0.10-0.14 s of it interpreter start-up
+# (child ru_maxrss and wall clock, 5 runs, 2-CPU VM, Python 3.11.7).  Exact
+# output is converted to decimal text in quadratic time: ``str(1 << e)``
+# takes about 0.015 s at e = 10**5, and ``int()`` about 0.065 s on 10**5
+# digits, which sizes the rest.
+MAX_TEXT_LENGTH = 1 << 14       # request length, program length
+MAX_LENGTH_DIGITS = 100         # a request-length field, before int()
+MAX_RATIONAL_CHARS = 20_000     # one p/q line, after stripping
+MAX_LEVEL = 100_000             # --n of test, --m of dominate
 
 
 def validate_bits(word: str) -> str:
@@ -90,3 +100,21 @@ def parse_word(token: str) -> str:
     if token == "-":
         return ""
     return validate_bits(token)
+
+
+def read_lines(lines: Iterable[str], parse_line: Callable[[str], _T]) -> list[_T]:
+    """``parse_line`` of each stripped non-blank line, in order.
+
+    Blank lines still count: a ValueError from ``parse_line`` is raised
+    again as ``line N: <message>`` with ``N`` counted from 1.  A line that
+    is not a ``str`` raises its own error, with no line number.
+    """
+    values = []
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if line:
+            try:
+                values.append(parse_line(line))
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
+    return values

@@ -23,21 +23,13 @@ from math import gcd
 from typing import Sequence
 
 from . import ce_real, codespace, machines, solovay, verify
-from .bits import format_word
+from .bits import MAX_LEVEL, MAX_RATIONAL_CHARS, format_word, read_lines
 from .errors import InsufficientMass, OmegalibError
 from .exact import (as_fraction, format_rational, measure_of_lengths,
                     parse_rational)
 
 USAGE_ERROR = 2
 DOMAIN_ERROR = 3
-
-# Caps on what one input may ask for, checked before any output.  Exact
-# output is converted to decimal text in quadratic time: ``str(1 << e)``
-# takes about 0.015 s at e = 10**5, and ``int()`` about 0.065 s on 10**5
-# digits.  Request and program lengths are capped in the parsers
-# (``bits.MAX_TEXT_LENGTH``, ``codespace.MAX_LENGTH_DIGITS``).
-MAX_LEVEL = 100_000             # --n of test, --m of dominate
-MAX_RATIONAL_CHARS = 20_000     # one p/q line, after stripping
 
 
 def _read_lines(path: str) -> list[str]:
@@ -59,19 +51,14 @@ def _read_table(path: str, label: str = "") -> machines.MachineTable:
 
 def _read_rationals(path: str) -> list[Fraction]:
     """The ``p/q`` lines of a file as fractions, skipping blank lines."""
-    lines = _read_lines(path)
-    values = []
-    try:
-        for lineno, line in enumerate(lines, start=1):
-            text = line.strip()
-            if len(text) > MAX_RATIONAL_CHARS:
-                raise ValueError(f"{len(text)} characters, above the cap "
-                                 f"of {MAX_RATIONAL_CHARS} per rational")
-            if text:
-                values.append(parse_rational(text))
-    except ValueError as exc:
-        raise ValueError(f"line {lineno}: {exc}") from None
-    return values
+    return read_lines(_read_lines(path), _rational_line)
+
+
+def _rational_line(text: str) -> Fraction:
+    if len(text) > MAX_RATIONAL_CHARS:
+        raise ValueError(f"{len(text)} characters, above the cap "
+                         f"of {MAX_RATIONAL_CHARS} per rational")
+    return parse_rational(text)
 
 
 def _check_level(flag: str, level: int | None, cap: int | None = MAX_LEVEL) -> None:
@@ -106,7 +93,7 @@ def _cmd_allocate(args) -> int:
         raise OmegalibError(f"kraft violation at request {exc.index + 1} "
                             f"(length {exc.length}): free mass {free} "
                             f"< 2^-{exc.length}") from None
-    lines = [f"{word}\t{format_word(output)}" for word, output in table]
+    lines = [f"{format_word(word)}\t{format_word(output)}" for word, output in table]
     mass = measure_of_lengths(len(word) for word, _ in table)
     lines.append(f"mu\t{_exact(mass, args.approx)}")
     _write(lines)

@@ -36,7 +36,8 @@ from dataclasses import dataclass
 from operator import lt
 from typing import Iterable, Sequence
 
-from .bits import MAX_TEXT_LENGTH, bit_value, parse_word, validate_bits
+from .bits import (MAX_LENGTH_DIGITS, MAX_TEXT_LENGTH, bit_value, parse_word,
+                   read_lines, validate_bits)
 from .errors import InsufficientMass, TargetTooShort
 from .exact import DYADIC_ZERO, Dyadic, pow2_neg
 
@@ -272,37 +273,27 @@ def _first_gap(ordered: list[str]) -> tuple[Dyadic, Dyadic] | None:
     return covered, Dyadic(1)
 
 
-# Digits a request-length field may have, leading zeros included; the field
-# is converted with int() only below this.
-MAX_LENGTH_DIGITS = 100
-
-
 def parse_request_lines(lines: Iterable[str]) -> list[tuple[int, str]]:
     """Parse ``n<TAB>y`` request lines; ``y`` is ``-`` for the empty output.
 
     Every error names its line.  A length field of more than
-    ``MAX_LENGTH_DIGITS`` digits, or a length above ``bits.MAX_TEXT_LENGTH``,
-    raises ValueError.
+    ``bits.MAX_LENGTH_DIGITS`` digits, or a length above
+    ``bits.MAX_TEXT_LENGTH``, raises ValueError.
     """
-    requests: list[tuple[int, str]] = []
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise ValueError(f"expected 'n<TAB>y', got {line!r}")
-            length = fields[0].strip()
-            if not (length.isascii() and length.isdigit()):
-                raise ValueError(f"length {fields[0]!r} is not a natural number")
-            if len(length) > MAX_LENGTH_DIGITS:
-                raise ValueError(f"length has {len(length)} digits, "
-                                 f"above the cap of {MAX_LENGTH_DIGITS}")
-            n = int(length)
-            if n > MAX_TEXT_LENGTH:
-                raise ValueError(f"length {n} is above the cap of {MAX_TEXT_LENGTH}")
-            requests.append((n, parse_word(fields[1])))
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
-    return requests
+    return read_lines(lines, _request_line)
+
+
+def _request_line(line: str) -> tuple[int, str]:
+    fields = line.split("\t")
+    if len(fields) != 2:
+        raise ValueError(f"expected 'n<TAB>y', got {line!r}")
+    length = fields[0].strip()
+    if not (length.isascii() and length.isdigit()):
+        raise ValueError(f"length {fields[0]!r} is not a natural number")
+    if len(length) > MAX_LENGTH_DIGITS:
+        raise ValueError(f"length has {len(length)} digits, "
+                         f"above the cap of {MAX_LENGTH_DIGITS}")
+    n = int(length)
+    if n > MAX_TEXT_LENGTH:
+        raise ValueError(f"length {n} is above the cap of {MAX_TEXT_LENGTH}")
+    return n, parse_word(fields[1])

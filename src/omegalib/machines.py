@@ -16,7 +16,8 @@ from itertools import accumulate, chain
 from typing import Iterable, Sequence
 
 from .bits import (_BITS, MAX_TEXT_LENGTH, bit_value, format_word,
-                   iter_length_lex, parse_word, prefix_free, validate_bits)
+                   iter_length_lex, parse_word, prefix_free, read_lines,
+                   validate_bits)
 from .errors import StageOutOfRange
 from .exact import DYADIC_ZERO, Dyadic, measure_of_lengths, pow2_neg
 
@@ -196,8 +197,9 @@ def parse_table_lines(lines: Iterable[str]) -> MachineTable:
     ``bits.MAX_TEXT_LENGTH`` raises ValueError.  One pass checks only the
     structure (one tab per non-blank line, the program cap) and leaves the
     alphabet to ``MachineTable``'s one check of the joined words.  If
-    either fails, or a line is not a ``str``, the word-by-word loop runs
-    from the first line, so the first bad line raises its own error.
+    either fails, or a line is not a ``str``, ``bits.read_lines`` checks
+    word by word from the first line, so the first bad line raises its own
+    error.
     """
     lines = list(lines)
     entries: list[tuple[str, str]] = []
@@ -214,28 +216,18 @@ def parse_table_lines(lines: Iterable[str]) -> MachineTable:
             entries.append((program, "" if output == "-" else output))
         return MachineTable(tuple(entries))
     except (AttributeError, TypeError, ValueError):
-        return _parse_table_lines_checked(lines)
+        return MachineTable(tuple(read_lines(lines, _table_line)))
 
 
-def _parse_table_lines_checked(lines: list[str]) -> MachineTable:
-    """``parse_table_lines`` checking every word as it goes, for its errors."""
-    entries: list[tuple[str, str]] = []
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise ValueError(f"expected 'program<TAB>output', got {line!r}")
-            program = parse_word(fields[0])
-            if len(program) > MAX_TEXT_LENGTH:
-                raise ValueError(f"program length {len(program)} "
-                                 f"is above the cap of {MAX_TEXT_LENGTH}")
-            entries.append((program, parse_word(fields[1])))
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
-    return MachineTable(tuple(entries))
+def _table_line(line: str) -> tuple[str, str]:
+    fields = line.split("\t")
+    if len(fields) != 2:
+        raise ValueError(f"expected 'program<TAB>output', got {line!r}")
+    program = parse_word(fields[0])
+    if len(program) > MAX_TEXT_LENGTH:
+        raise ValueError(f"program length {len(program)} "
+                         f"is above the cap of {MAX_TEXT_LENGTH}")
+    return program, parse_word(fields[1])
 
 
 def format_table_lines(table: MachineTable) -> list[str]:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from omegalib import ce_real, cli, codespace, machines, verify
-from omegalib.bits import parse_word
+from omegalib.bits import format_word, parse_word
 from omegalib.cli import MAX_RATIONAL_CHARS, build_parser, main
 from omegalib.exact import Dyadic, format_rational, parse_rational
 
@@ -86,6 +86,37 @@ class TestAllocate:
         _, first, _ = run(capsys, ["allocate", requests])
         _, second, _ = run(capsys, ["allocate", requests])
         assert first == second
+
+    def test_empty_codeword_is_written_as_dash(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("0\t1\n"))
+        assert run(capsys, ["allocate", "-"]) == (0, "-\t1\nmu\t1/1\n", "")
+
+
+class TestAllocateOutputReadsBack:
+    """``allocate`` output without its ``mu`` line is a machine table, the
+    one ``allocate_all`` builds from the same requests."""
+
+    def check(self, tmp_path, text):
+        code, out, err = _run_quietly(["allocate", write(tmp_path, "req.tsv", text)])
+        assert (code, err) == (0, "")
+        *lines, mu = out.splitlines()
+        assert mu.startswith("mu\t")
+        requests = codespace.parse_request_lines(text.splitlines())
+        assert machines.parse_table_lines(lines) == \
+            machines.MachineTable(tuple(codespace.allocate_all(requests)))
+
+    def test_seeded_request_files(self, tmp_path):
+        rng = random.Random(15)
+        for _ in range(150):
+            self.check(tmp_path, "".join(
+                f"{n}\t{format_word(verify.random_word(rng, 4))}\n"
+                for n in verify.random_kraft_lengths(rng, 12, 10)))
+
+    # A length-0 request takes all of code space, so it is served only as
+    # the first line, and its codeword is the empty word.
+    @pytest.mark.parametrize("text", ["0\t-\n", "0\t01\n"])
+    def test_length_zero_request(self, tmp_path, text):
+        self.check(tmp_path, text)
 
 
 class TestDecompose:
@@ -703,6 +734,62 @@ class TestReaderDifferential:
         new = outcome(cli._read_rationals, str(path))
         assert new == outcome(read_rationals_per_line, str(path))
         assert new[0] is UnicodeDecodeError
+
+
+class TestLineReaderContract:
+    """The request, table and rational readers share one line loop: a blank
+    line still counts, a padded line is stripped, the first bad line wins,
+    and an error that is not a ValueError carries no line number."""
+
+    # A good line, its value, and two bad lines with their messages.
+    LINES = {
+        "requests": ("2\t01", (2, "01"),
+                     ("2\t2", "not a binary word: '2'"),
+                     ("x\t1", "length 'x' is not a natural number")),
+        "tables": ("01\t1", ("01", "1"),
+                   ("0\t2", "not a binary word: '2'"),
+                   ("0 1", "expected 'program<TAB>output', got '0 1'")),
+        "rationals": ("1/4", Fraction(1, 4),
+                      ("1/0", "zero denominator in '1/0'"),
+                      ("0.5", "not a rational 'p/q' or integer: '0.5'")),
+    }
+
+    @pytest.fixture(params=list(LINES))
+    def reader(self, request, monkeypatch):
+        if request.param == "requests":
+            read = codespace.parse_request_lines
+        elif request.param == "tables":
+            def read(lines):
+                return list(machines.parse_table_lines(lines).entries)
+        else:
+            def read(lines):
+                monkeypatch.setattr(cli, "_read_lines", lambda path: lines)
+                return cli._read_rationals("-")
+        return (read,) + self.LINES[request.param]
+
+    def test_blank_lines_count(self, reader):
+        read, good, value, (bad, message), _ = reader
+        assert read(["", good, "  ", good]) == [value, value]
+        assert outcome(read, [good, "", "   ", bad]) == (ValueError, f"line 4: {message}")
+
+    def test_padded_line_is_stripped(self, reader):
+        read, good, value, (bad, message), _ = reader
+        assert read([f" \t{good} \r", f"  {good}"]) == [value, value]
+        assert outcome(read, [f"  {bad}\r"]) == (ValueError, f"line 1: {message}")
+
+    def test_first_bad_line_wins(self, reader):
+        read, good, _, (bad, message), (other, other_message) = reader
+        assert outcome(read, [good, bad, other]) == (ValueError, f"line 2: {message}")
+        assert outcome(read, [good, other, bad]) == \
+            (ValueError, f"line 2: {other_message}")
+
+    def test_other_errors_carry_no_line_number(self, reader):
+        read, good, _, (bad, _), _ = reader
+        for odd in (None, 5, good.encode()):
+            for lines in ([good, odd, bad], [odd]):
+                kind, message = outcome(read, lines)
+                assert kind in (AttributeError, TypeError)
+                assert not message.startswith("line ")
 
 
 class TestOmegaLinesDifferential:

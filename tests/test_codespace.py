@@ -11,13 +11,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from omegalib import codespace
-from omegalib.bits import iter_length_lex, prefix_free, validate_bits
+from omegalib.bits import (MAX_LENGTH_DIGITS, MAX_TEXT_LENGTH, format_word,
+                           iter_length_lex, parse_word, prefix_free, validate_bits)
 from omegalib.codespace import (AllocatorState, InvariantReport, allocate, allocate_all,
                                 check_invariants, extend_prefix,
                                 new_allocator, parse_request_lines)
 from omegalib.errors import InsufficientMass, TargetTooShort
 from omegalib.exact import Dyadic, measure_of_lengths, pow2_neg
-from omegalib.verify import enumerate_kraft_multisets, random_kraft_lengths
+from omegalib.verify import enumerate_kraft_multisets, random_kraft_lengths, random_word
 
 
 class TestExtendPrefix:
@@ -281,6 +282,135 @@ class TestRequestParsing:
 
     def test_padded_length_parses(self):
         assert parse_request_lines([" 12 \t-", "007\t1"]) == [(12, ""), (7, "1")]
+
+
+# --- ``parse_request_lines`` as it was, with its own line loop, kept
+# literally as the differential reference for the shared ``bits.read_lines``.
+
+def parse_request_lines_own_loop(lines):
+    requests: list[tuple[int, str]] = []
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        try:
+            fields = line.split("\t")
+            if len(fields) != 2:
+                raise ValueError(f"expected 'n<TAB>y', got {line!r}")
+            length = fields[0].strip()
+            if not (length.isascii() and length.isdigit()):
+                raise ValueError(f"length {fields[0]!r} is not a natural number")
+            if len(length) > MAX_LENGTH_DIGITS:
+                raise ValueError(f"length has {len(length)} digits, "
+                                 f"above the cap of {MAX_LENGTH_DIGITS}")
+            n = int(length)
+            if n > MAX_TEXT_LENGTH:
+                raise ValueError(f"length {n} is above the cap of {MAX_TEXT_LENGTH}")
+            requests.append((n, parse_word(fields[1])))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+    return requests
+
+
+def parsed(make):
+    """What ``make()`` returns, or the exception's type and message."""
+    try:
+        return make()
+    except Exception as exc:          # compared, never swallowed
+        return type(exc), str(exc)
+
+
+REQUEST_LINES = ["2\t01", "3\t-", "12\t110", "007\t1"]
+
+
+def bad_request_lines(line):
+    """``line`` made bad in every way: no tab, three fields, a length that
+    is not ASCII digits or is past a cap, and a bad character replacing or
+    inserted at each position of the output."""
+    yield line.replace("\t", " ")
+    yield line.replace("\t", "")
+    yield line + "\t0"
+    yield "1\t" + line
+    length, output = line.split("\t")
+    for bad in ("+3", "1_2", "-0", "\u0661", "-1", "x", "1" * (MAX_LENGTH_DIGITS + 1),
+                str(MAX_TEXT_LENGTH + 1)):
+        yield f"{bad}\t{output}"
+    for pos in range(len(output) + 1):
+        for bad in ("2", "a", " ", "\u0660", "\u00b9", "\x00"):
+            yield f"{length}\t{output[:pos]}{bad}{output[pos + 1:]}"
+            yield f"{length}\t{output[:pos]}{bad}{output[pos:]}"
+
+
+class TestRequestFilesDifferential:
+    """The request reader on ``bits.read_lines`` returns what its own line
+    loop returned, or raises its first exception with the same type and
+    message."""
+
+    def check(self, make_lines):
+        new = parsed(lambda: parse_request_lines(make_lines()))
+        assert new == parsed(lambda: parse_request_lines_own_loop(make_lines()))
+        return new
+
+    def test_seeded_valid_files(self):
+        rng = random.Random(15)
+        for _ in range(300):
+            requests = [(n, random_word(rng, 6))
+                        for n in random_kraft_lengths(rng, 30, 14)]
+            lines = [rng.choice(("", " ", "0")) + f"{n}\t{format_word(y)}"
+                     + rng.choice(("", " ", "\r")) for n, y in requests]
+            for _ in range(rng.randint(0, 3)):
+                lines.insert(rng.randint(0, len(lines)), rng.choice(("", "  ")))
+            assert self.check(lambda: lines) == requests
+
+    def test_each_line_made_bad_in_each_way(self):
+        count = 0
+        for i, line in enumerate(REQUEST_LINES):
+            for bad in bad_request_lines(line):
+                lines = REQUEST_LINES[:i] + [bad] + REQUEST_LINES[i + 1:]
+                result = self.check(lambda: lines)
+                # A space at either end of a line is stripped away, so a
+                # few of these lines are still valid.
+                if not isinstance(result, list):
+                    assert result[0] is ValueError
+                    assert result[1].startswith(f"line {i + 1}: ")
+                    count += 1
+        assert count > 150
+
+    def test_length_at_and_past_the_caps(self):
+        at_cap = "0" * (MAX_LENGTH_DIGITS - 5) + str(MAX_TEXT_LENGTH)
+        assert self.check(lambda: [f"{at_cap}\t-"]) == [(MAX_TEXT_LENGTH, "")]
+        result = self.check(lambda: REQUEST_LINES + ["0" + at_cap + "\t-"])
+        assert result == (ValueError, "line 5: length has 101 digits, "
+                          "above the cap of 100")
+        result = self.check(lambda: [f"{MAX_TEXT_LENGTH + 1}\t1"])
+        assert result == (ValueError, "line 1: length 16385 is above the cap "
+                          "of 16384")
+
+    def test_blank_padded_lines_and_dash_fields(self):
+        # strip() removes a tab at either end, so "\t12\t0" is one request.
+        lines = ["", "  2\t01  ", "\t", " \n", "3\t-\n", "0\t-", "\r\n",
+                 "\t12\t0", " 7 \t1", "4\t-\t"]
+        assert self.check(lambda: lines) == \
+            [(2, "01"), (3, ""), (0, ""), (12, "0"), (7, "1"), (4, "")]
+        result = self.check(lambda: lines + ["-\t1"])
+        assert result == (ValueError, "line 11: length '-' is not a natural number")
+        result = self.check(lambda: lines + ["\t- 0"])
+        assert result == (ValueError, "line 11: expected 'n<TAB>y', got '- 0'")
+
+    def test_odd_lines(self):
+        for odd in (b"2\t1", None, 5):
+            for lines in (REQUEST_LINES + [odd], [odd, "2\t2"]):
+                assert self.check(lambda: lines)[0] in (AttributeError, TypeError)
+            assert self.check(lambda: ["2\t2", odd]) == \
+                (ValueError, "line 1: not a binary word: '2'")
+
+    def test_list_tuple_and_generator_input(self):
+        for lines in (REQUEST_LINES, REQUEST_LINES + ["1\t2"],
+                      REQUEST_LINES + ["1"], []):
+            expected = self.check(lambda: lines)
+            assert self.check(lambda: tuple(lines)) == expected
+            assert self.check(lambda: (line for line in lines)) == expected
+            assert self.check(lambda: iter(lines)) == expected
 
 
 # ---------------------------------------------------------------------------
