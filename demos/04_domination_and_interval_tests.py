@@ -18,9 +18,9 @@ Run me top to bottom:  python3 demos/04_domination_and_interval_tests.py
 from fractions import Fraction
 
 from omegalib.ce_real import RationalSeq
-from omegalib.machines import MachineTable
+from omegalib.machines import MachineTable, omega_approx
 from omegalib.solovay import (build_test, check_domination, extract_witness,
-                              omega_rep_compose, representation_partial)
+                              omega_rep_compose)
 
 A = [Fraction(1, 4), Fraction(9, 32), Fraction(1, 2), Fraction(3, 4)]
 B = [Fraction(1, 8), Fraction(1, 4), Fraction(3, 8), Fraction(7, 16)]
@@ -62,7 +62,8 @@ composed, mass = omega_rep_compose(v, c=1, gamma_lengths=[2, 3], k=2)
 print("composed table:", composed.entries)
 print("domain mass:   ", mass)
 b = RationalSeq([Fraction(1, 4), Fraction(3, 8)])  # running mass of [2, 3]
-print("identity value:", representation_partial(v, 1, b, 2),
+identity = Fraction(1, 2) * omega_approx(v, 2).as_fraction() + b.prefix(2)[-1]
+print("identity value:", identity,
       "(computed as 2**-1 * 3/4 + 3/8; both roads agree)")
 
 # The command-line equivalents of steps 1 and 2:

@@ -19,7 +19,7 @@ from .machines import (MachineTable, chaitin_transform,
                        compose, omega_approx)
 from .solovay import (DominationWitness, TestStage, build_test,
                       check_domination, extract_witness, interleave_requests,
-                      omega_rep_compose, representation_partial)
+                      omega_rep_compose)
 from .mltest import (PrefixSetStage, antichain_measure, complexity_test_stage,
                      compression_requests, stage_membership)
 
@@ -38,5 +38,5 @@ __all__ = [
     "compression_requests", "dyadic_decompose", "extend_prefix",
     "extract_witness", "interleave_requests", "measure_of_lengths",
     "new_allocator", "omega_approx", "omega_rep_compose", "pow2_neg",
-    "representation_partial", "stage_membership", "to_machine",
+    "stage_membership", "to_machine",
 ]

@@ -76,14 +76,17 @@ def length_lex_key(word: str) -> tuple[int, str]:
 
 def iter_length_lex() -> Iterator[str]:
     """Yield every binary word in canonical order: '', '0', '1', '00', ..."""
-    length = 0
+    word = ""
     while True:
-        if length == 0:
-            yield ""
-        else:
-            for i in range(1 << length):
-                yield format(i, f"0{length}b")
-        length += 1
+        yield word
+        word = successor(word)
+
+
+def successor(word: str) -> str:
+    """The word after ``word`` in length-then-lexicographic order."""
+    if "0" not in word:
+        return "0" * (len(word) + 1)
+    return format(int(word, 2) + 1, f"0{len(word)}b")
 
 
 def bit_value(word: str) -> Dyadic:

@@ -33,10 +33,21 @@ DOMAIN_ERROR = 3
 
 
 def _read_lines(path: str) -> list[str]:
+    """The lines of a file, or of stdin for ``-``, as ASCII: the first other
+    byte raises ValueError naming its line, counted as ``read_lines`` counts."""
     if path == "-":
-        return sys.stdin.read().splitlines()
-    with open(path, "r", encoding="ascii") as handle:
-        return handle.read().splitlines()
+        # An in-process text stdin (io.StringIO) is encoded back to its bytes.
+        data = (sys.stdin.buffer.read() if hasattr(sys.stdin, "buffer")
+                else sys.stdin.read().encode("utf-8", "surrogateescape"))
+    else:
+        with open(path, "rb") as handle:
+            data = handle.read()
+    try:
+        return data.decode("ascii").splitlines()
+    except UnicodeDecodeError as exc:
+        line = len((data[:exc.start].decode() + ".").splitlines())
+        raise ValueError(f"line {line}: byte 0x{data[exc.start]:02x} "
+                         "is not ASCII") from None
 
 
 def _read_table(path: str, label: str = "") -> machines.MachineTable:
@@ -111,22 +122,18 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_omega(args) -> int:
     table = _read_table(args.table)
+    stages = range(1, len(table) + 1)
     if args.k is not None:
-        mass = machines.omega_approx(table, args.k)
-        _write([f"{args.k}\t{_exact(mass, args.approx)}"])
-        return 0
-    # Running partial sums total / 2**scale at the scale of the longest
-    # program, one pass, each written in lowest terms from the two integers.
-    lengths = [len(p) for p, _ in table.entries]
-    scale = max(lengths, default=0)
+        table.prefix(args.k)
+        stages = (args.k,)
+    # Each partial sum is written in lowest terms from its two integers.
+    sums, scale = machines.omega_sums(table)
     unit = 1 << scale
-    total = 0
     lines = []
-    for k, n in enumerate(lengths, start=1):
-        total += 1 << (scale - n)
-        g = gcd(total, unit)
-        line = f"{k}\t{total // g}/{unit // g}"
-        lines.append(f"{line}\t~{total / unit:.6f}" if args.approx else line)
+    for k in stages:
+        g = gcd(sums[k], unit)
+        line = f"{k}\t{sums[k] // g}/{unit // g}"
+        lines.append(f"{line}\t~{sums[k] / unit:.6f}" if args.approx else line)
     _write(lines)
     return 0
 

@@ -6,6 +6,9 @@ partial sums, program-size complexity, the prefix-header combination of many
 machines into one, output-driven composition, and the canonicalizing
 transform that renames outputs by halting-mass rank so that its own graph
 compresses at least as well as the machine it came from.
+
+Stage ``k`` is the first ``k`` entries: ``MachineTable.prefix`` bounds it,
+and ``omega_sums`` gives every stage's partial sum from one integer pass.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from typing import Iterable, Sequence
 
 from .bits import (_BITS, MAX_TEXT_LENGTH, bit_value, format_word,
                    iter_length_lex, parse_word, prefix_free, read_lines,
-                   validate_bits)
+                   successor, validate_bits)
 from .errors import StageOutOfRange
 from .exact import DYADIC_ZERO, Dyadic, measure_of_lengths, pow2_neg
 
@@ -52,6 +55,12 @@ class MachineTable:
     def __len__(self) -> int:
         return len(self.entries)
 
+    def prefix(self, k: int) -> tuple[tuple[str, str], ...]:
+        """The first ``k`` entries; StageOutOfRange unless ``0 <= k <= len``."""
+        if not 0 <= k <= len(self.entries):
+            raise StageOutOfRange(f"stage {k} outside 0..{len(self)}")
+        return self.entries[:k]
+
     @property
     def domain(self) -> tuple[str, ...]:
         return tuple(p for p, _ in self.entries)
@@ -75,20 +84,24 @@ class MachineTable:
 
 def omega_approx(table: MachineTable, k: int) -> Dyadic:
     """Halting-mass partial sum over the first ``k`` entries."""
-    if not 0 <= k <= len(table):
-        raise StageOutOfRange(f"stage {k} outside 0..{len(table)}")
-    return measure_of_lengths(len(p) for p, _ in table.entries[:k])
+    return measure_of_lengths(len(p) for p, _ in table.prefix(k))
+
+
+def omega_sums(table: MachineTable) -> tuple[list[int], int]:
+    """Every stage's partial sum from one integer pass: ``sums[k] / 2**scale``
+    is ``omega_approx(table, k)``; ``scale`` is the longest program's length."""
+    lengths = [len(p) for p, _ in table.entries]
+    scale = max(lengths, default=0)
+    weights = map((1 << scale).__rshift__, lengths)
+    return list(accumulate(weights, initial=0)), scale
 
 
 def complexity(table: MachineTable, target: str, k: int | None = None) -> int | None:
     """Length of the shortest program among the first ``k`` entries producing
     ``target``; None when no listed program does.  ``k`` defaults to the whole
     table."""
-    if k is None:
-        k = len(table)
-    if not 0 <= k <= len(table):
-        raise StageOutOfRange(f"stage {k} outside 0..{len(table)}")
-    sizes = [len(p) for p, y in table.entries[:k] if y == target]
+    entries = table.entries if k is None else table.prefix(k)
+    sizes = [len(p) for p, y in entries if y == target]
     return min(sizes, default=None)
 
 
@@ -154,19 +167,18 @@ def chaitin_transform(table: MachineTable, program: str) -> str | None:
 def chaitin_transform_table(table: MachineTable) -> MachineTable:
     """Graph of the transform over the programs where it is defined.
 
-    One pass computes what ``chaitin_transform`` computes per program: the
-    partial sums are integers at the scale of the longest program, each
-    output's stage is a binary search on them, and a length-lex cursor over
-    the outputs seen so far gives the least missing word at every stage.
-    The cursor never moves back, because the seen set only grows.
+    One pass computes what ``chaitin_transform`` computes per program: each
+    output's stage is a binary search on ``omega_sums``, and a length-lex
+    cursor over the outputs seen so far gives the least missing word at
+    every stage.  The cursor never moves back: the seen set only grows.
     """
     first: dict[str, str] = {}
     for p, y in table.entries:
         first.setdefault(p, y)
-    scale = max(map(len, first), default=0)
-    sums = list(accumulate(1 << (scale - len(p)) for p, _ in table.entries))
+    sums, scale = omega_sums(table)
     # 0.y <= sum / 2^scale exactly when sum >= ceil(int(y) * 2^scale / 2^len(y)).
-    stage = {y: bisect_left(sums, -((-int(y or "0", 2) << scale) >> len(y)))
+    # Stage t + 1 is keyed by t, the index of its last entry.
+    stage = {y: bisect_left(sums, -((-int(y or "0", 2) << scale) >> len(y)), 1) - 1
              for y in set(first.values())}
     wanted = set(stage.values())
     image: dict[int, str] = {}
@@ -176,18 +188,11 @@ def chaitin_transform_table(table: MachineTable) -> MachineTable:
         seen.add(y)
         if t in wanted:
             while missing in seen:
-                missing = _successor(missing)
+                missing = successor(missing)
             image[t] = missing
     renamed = {p: image.get(stage[y]) for p, y in first.items()}
     return MachineTable(tuple((p, renamed[p]) for p, _ in table.entries
                               if renamed[p] is not None))
-
-
-def _successor(word: str) -> str:
-    """The word after ``word`` in length-then-lexicographic order."""
-    if "0" not in word:
-        return "0" * (len(word) + 1)
-    return format(int(word, 2) + 1, f"0{len(word)}b")
 
 
 def parse_table_lines(lines: Iterable[str]) -> MachineTable:

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 from math import isqrt
 
 from .bits import length_lex_key, prefix_free, prune_to_minimal
-from .errors import MeasureViolation, StageOutOfRange, UnderlongString
+from .errors import MeasureViolation, UnderlongString
 from .exact import Dyadic, measure_of_lengths, pow2_neg
 from .machines import MachineTable
 
@@ -65,10 +65,8 @@ def complexity_test_stage(table: MachineTable, margin: int, k: int) -> set[str]:
     An output ``y`` qualifies when its shortest program among the first ``k``
     entries is shorter than ``len(y) - margin``.
     """
-    if not 0 <= k <= len(table):
-        raise StageOutOfRange(f"stage {k} outside 0..{len(table)}")
     shortest: dict[str, int] = {}
-    for p, y in table.entries[:k]:
+    for p, y in table.prefix(k):
         if y not in shortest or len(p) < shortest[y]:
             shortest[y] = len(p)
     return {y for y, h in shortest.items() if h < len(y) - margin}

@@ -17,7 +17,8 @@ The module also carries the request-stream composition that realizes a
 halting-probability identity: interleaving one stream that re-requests a
 machine's own programs ``c`` bits longer with a second stream of chosen
 lengths produces, after composing with that machine, a domain of measure
-exactly ``2**-c * (halting mass) + (mass of the chosen lengths)``.
+exactly ``2**-c * (halting mass) + (mass of the chosen lengths)``, which is
+the representation's value at that stage.
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ from typing import Sequence
 
 from .ce_real import RationalSeq
 from .codespace import allocate_all
-from .errors import LengthMismatch, SequenceExhausted, StageOutOfRange
-from .exact import Dyadic, Interval, as_fraction, pow2_neg
-from .machines import MachineTable, compose, omega_approx
+from .errors import LengthMismatch
+from .exact import Dyadic, Interval, as_fraction
+from .machines import MachineTable, compose
 
 
 @dataclass(frozen=True)
@@ -129,22 +130,6 @@ def check_domination(a_prefix: Sequence[Fraction], b_prefix: Sequence[Fraction],
     b_vals = [as_fraction(x) for x in b_prefix]
     return all(b_vals[j + 1] - b_vals[j] <= c * (a_vals[j + 1] - a_vals[j])
                for j in range(len(a_vals) - 1))
-
-
-def representation_partial(machine: MachineTable, c: int, b: RationalSeq,
-                           k: int) -> Fraction:
-    """Stage-``k`` value of ``2**-c * (halting mass) + b_k``; stage 0 is 0."""
-    if c < 0:
-        raise ValueError("the shift c is a natural number")
-    if not 0 <= k <= len(machine):
-        raise StageOutOfRange(f"stage {k} outside 0..{len(machine)}")
-    if k == 0:
-        return Fraction(0)
-    try:
-        b_k = b.prefix(k)[-1]
-    except SequenceExhausted as exc:
-        raise StageOutOfRange(str(exc)) from None
-    return pow2_neg(c).as_fraction() * omega_approx(machine, k).as_fraction() + b_k
 
 
 def interleave_requests(machine: MachineTable, c: int,

@@ -250,14 +250,12 @@ def check_omega_composition(machine: machines.MachineTable, c: int,
                             gamma_lengths: Sequence[int]) -> list[str]:
     """The measure identity of the interleaved composition, at every round."""
     failures = []
+    sums, scale = machines.omega_sums(machine)
     rounds = max(len(machine), len(gamma_lengths))
     for k in range(rounds + 1):
         composed, mass = solovay.omega_rep_compose(machine, c, gamma_lengths, k)
-        v_stage = min(k, len(machine))
-        g_stage = min(k, len(gamma_lengths))
-        expected = (pow2_neg(c).as_fraction()
-                    * machines.omega_approx(machine, v_stage).as_fraction()
-                    + measure_of_lengths(gamma_lengths[:g_stage]).as_fraction())
+        expected = (Fraction(sums[min(k, len(machine))], 1 << (scale + c))
+                    + measure_of_lengths(gamma_lengths[:k]).as_fraction())
         if mass.as_fraction() != expected:
             failures.append(f"round {k}: measure {mass} != {expected}")
 
@@ -343,11 +341,13 @@ def check_tail_bound(table: machines.MachineTable) -> list[str]:
     """Once the halting mass is within ``2**-n`` of its limit, all later
     programs have length at least ``n``."""
     failures = []
-    total = table.domain_measure()
-    for t in range(len(table) + 1):
-        partial = machines.omega_approx(table, t)
+    sums, scale = machines.omega_sums(table)
+    # At the scale ``top`` every 2**-n with n <= TAIL_MAX_LEVEL is an integer.
+    top = max(scale, TAIL_MAX_LEVEL)
+    for t, partial in enumerate(sums):
+        gap = (sums[-1] - partial) << (top - scale)
         for n in range(TAIL_MAX_LEVEL + 1):
-            if partial.as_fraction() >= total.as_fraction() - pow2_neg(n).as_fraction():
+            if gap <= 1 << (top - n):
                 short = [p for p, _ in table.entries[t:] if len(p) < n]
                 if short:
                     failures.append(f"stage {t}, level {n}: short tail {short}")

@@ -4,6 +4,8 @@ import sys
 
 import pytest
 
+from omegalib.verify import enumerate_kraft_multisets
+
 
 @pytest.fixture
 def no_int_digit_limit():
@@ -27,3 +29,24 @@ def int_text():
         finally:
             sys.set_int_max_str_digits(previous)
     return convert
+
+
+def _kraft_orderings(rng):
+    """The criterion-2/3 sweep family: every Kraft multiset of lengths up to
+    6, each in its distinct ascending, descending and shuffled orders.  One
+    ``rng.shuffle`` per multiset, drawn whether or not the shuffle is kept."""
+    for multiset in enumerate_kraft_multisets(6):
+        ascending = list(multiset)
+        shuffled = ascending[:]
+        rng.shuffle(shuffled)
+        kept = []
+        for candidate in (ascending, ascending[::-1], shuffled):
+            if candidate not in kept:
+                kept.append(candidate)
+        yield from kept
+
+
+@pytest.fixture
+def kraft_orderings():
+    """The sweep family's generator, called with the test's own ``rng``."""
+    return _kraft_orderings

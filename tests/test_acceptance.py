@@ -28,24 +28,10 @@ def _report(capsys, number, label, failures, elapsed, bound):
     assert elapsed < bound, f"criterion {number} took {elapsed:.2f}s"
 
 
-def _distinct_orderings(multiset, rng):
-    ascending = list(multiset)
-    candidates = [ascending, ascending[::-1]]
-    shuffled = ascending[:]
-    rng.shuffle(shuffled)
-    candidates.append(shuffled)
-    kept = []
-    for candidate in candidates:
-        if candidate not in kept:
-            kept.append(candidate)
-    return kept
-
-
-def _sweep_sequences(rng):
+def _sweep_sequences(rng, kraft_orderings):
     """Criterion 2/3 input family: exhaustive short multisets in several
     orders, then long seeded random sequences."""
-    for multiset in verify.enumerate_kraft_multisets(6):
-        yield from _distinct_orderings(multiset, rng)
+    yield from kraft_orderings(rng)
     for _ in range(10_000):
         yield verify.random_kraft_lengths(rng, 50, 16)
 
@@ -59,21 +45,21 @@ def test_criterion_1_golden_reference_values(capsys):
     _report(capsys, 1, "golden reference values", failures, elapsed, 1.0)
 
 
-def test_criterion_2_differential_allocator_sweep(capsys):
+def test_criterion_2_differential_allocator_sweep(capsys, kraft_orderings):
     rng = random.Random(SEED)
     start = time.perf_counter()
     failures = []
-    for lengths in _sweep_sequences(rng):
+    for lengths in _sweep_sequences(rng, kraft_orderings):
         failures.extend(verify.check_differential(lengths))
     elapsed = time.perf_counter() - start
     _report(capsys, 2, "differential allocator sweep", failures, elapsed, 60.0)
 
 
-def test_criterion_3_invariant_preservation(capsys):
+def test_criterion_3_invariant_preservation(capsys, kraft_orderings):
     rng = random.Random(SEED)
     start = time.perf_counter()
     failures = []
-    for lengths in _sweep_sequences(rng):
+    for lengths in _sweep_sequences(rng, kraft_orderings):
         failures.extend(verify.check_invariants_along(lengths))
     for _ in range(1_000):
         combined = verify.random_kraft_lengths(rng, 30, 12)

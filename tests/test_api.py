@@ -19,7 +19,7 @@ EXPORTS = [
     "extract_witness", "interleave_requests",
     "measure_of_lengths", "new_allocator", "omega_approx",
     "omega_rep_compose", "pow2_neg",
-    "representation_partial", "stage_membership", "to_machine",
+    "stage_membership", "to_machine",
 ]
 
 

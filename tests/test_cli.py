@@ -3,9 +3,12 @@
 import contextlib
 import hashlib
 import io
+import os
 import random
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from omegalib import ce_real, cli, codespace, machines, verify
 from omegalib.bits import format_word, parse_word
 from omegalib.cli import MAX_RATIONAL_CHARS, build_parser, main
-from omegalib.exact import Dyadic, format_rational, parse_rational
+from omegalib.exact import Dyadic, format_rational, measure_of_lengths, parse_rational
 
 
 def write(tmp_path, name, text):
@@ -74,7 +77,12 @@ class TestAllocate:
         code, out, err = run(capsys, ["allocate", "-"])
         assert code == 2
         assert out == ""
-        assert err.startswith("error: line 2: length ")
+        if length.isascii():
+            assert err.startswith("error: line 2: length ")
+        else:
+            # Stdin is read as ASCII bytes: the first UTF-8 byte is refused.
+            assert err == (f"error: line 2: byte 0x{length.encode()[0]:02x} "
+                           "is not ASCII\n")
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         code, _, err = run(capsys, ["allocate", str(tmp_path / "nope.tsv")])
@@ -725,15 +733,17 @@ class TestReaderDifferential:
             path.write_text("\n".join(lines), encoding="utf-8")
             new = outcome(cli._read_rationals, str(path))
             assert new == outcome(read_rationals_per_line, str(path)), lines
-            kinds.add(new[0] if new and isinstance(new[0], type) else list)
-        assert kinds == {list, ValueError, UnicodeDecodeError}
+            if isinstance(new, tuple) and new[1].endswith("is not ASCII"):
+                new = ("not ASCII",)
+            kinds.add(new[0] if new and isinstance(new[0], (type, str)) else list)
+        assert kinds == {list, ValueError, "not ASCII"}
 
     def test_file_that_is_not_ascii(self, tmp_path):
         path = tmp_path / "r.txt"
         path.write_bytes("1/4\n\u00bd\n".encode())
         new = outcome(cli._read_rationals, str(path))
         assert new == outcome(read_rationals_per_line, str(path))
-        assert new[0] is UnicodeDecodeError
+        assert new == (ValueError, "line 2: byte 0xc2 is not ASCII")
 
 
 class TestLineReaderContract:
@@ -813,6 +823,90 @@ class TestOmegaLinesDifferential:
                                     machines.format_table_lines(table)))
             argv = ["omega", str(path)] + (["--approx"] if approx else [])
             assert _run_quietly(argv) == (0, omega_lines_dyadic(table, approx), "")
+
+
+def omega_stage_own_branch(table, k, approx):
+    """The ``omega --k`` branch as it was: ``omega_approx`` with its own
+    stage bound, written through ``_exact``."""
+    if not 0 <= k <= len(table):
+        return 3, "", f"error: stage {k} outside 0..{len(table)}\n"
+    mass = measure_of_lengths(len(p) for p, _ in table.entries[:k])
+    return 0, f"{k}\t{cli._exact(mass, approx)}\n", ""
+
+
+class TestOmegaStageDifferential:
+    """``omega --k`` at every stage from -1 to ``len + 1`` matches the
+    one-stage branch it replaced, bytes and exit code."""
+
+    @pytest.mark.parametrize("approx", [False, True])
+    def test_matches_one_stage_branch(self, tmp_path, approx):
+        path = tmp_path / "u.tsv"
+        for table in TestOmegaLinesDifferential().tables():
+            path.write_text("".join(line + "\n" for line in
+                                    machines.format_table_lines(table)))
+            for k in range(-1, len(table) + 2):
+                argv = ["omega", str(path), "--k", str(k)]
+                assert _run_quietly(argv + (["--approx"] if approx else [])) \
+                    == omega_stage_own_branch(table, k, approx), (table, k)
+
+
+class TestNonAsciiInput:
+    """The first byte that is not ASCII gives one error naming its line,
+    whether it comes from a file, from a byte stdin or from a text stdin."""
+
+    CASES = [
+        (["allocate"], b"\xff\t1\n", "line 1: byte 0xff"),
+        (["allocate"], b"1\t-\n\xff\t1\n", "line 2: byte 0xff"),
+        (["allocate"], b"\n\n  \n1\t-\n1\t\xc3\xa9\n", "line 5: byte 0xc3"),
+        (["allocate"], b"1\t-\r\n\r\n2\t\xd9\xa1\xff\n", "line 3: byte 0xd9"),
+        (["allocate", "--approx"], b"1\t-\r\x0c\xe2\x80\xa8", "line 3: byte 0xe2"),
+        (["omega"], b"0\t1\n10\t\xd9\xa1\n", "line 2: byte 0xd9"),
+        (["omega", "--k", "1"], b"\n\n0\t\x80\n", "line 3: byte 0x80"),
+        (["compose", "EMPTY"], b"0\t1\n\n\n\n1\t0\xc2\xa0\n", "line 5: byte 0xc2"),
+        (["decompose", "--k", "1"], b"\xc2\xbd\n", "line 1: byte 0xc2"),
+        (["decompose", "--k", "1"], b"1/4\n\n1/\xc2\xbd\n", "line 3: byte 0xc2"),
+        (["dominate", "EMPTY", "--c", "1"], b"1/4\n\xa0", "line 2: byte 0xa0"),
+    ]
+
+    def run_each_way(self, tmp_path, monkeypatch, command, data):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(data)
+        empty = tmp_path / "empty.txt"
+        empty.write_bytes(b"")
+        argv = [command[0], "SOURCE"] + [str(empty) if x == "EMPTY" else x
+                                         for x in command[1:]]
+        runs = [_run_quietly([str(path) if x == "SOURCE" else x for x in argv])]
+        for stdin in (io.TextIOWrapper(io.BytesIO(data)),
+                      io.StringIO(data.decode("utf-8", "surrogateescape"))):
+            monkeypatch.setattr("sys.stdin", stdin)
+            runs.append(_run_quietly(["-" if x == "SOURCE" else x for x in argv]))
+        return runs
+
+    @pytest.mark.parametrize("command, data, where", CASES)
+    def test_same_error_from_every_source(self, tmp_path, monkeypatch,
+                                          command, data, where):
+        expected = (2, "", f"error: {where} is not ASCII\n")
+        assert self.run_each_way(tmp_path, monkeypatch, command, data) == [expected] * 3
+
+    def test_ascii_reads_the_same_from_every_source(self, tmp_path, monkeypatch):
+        data = b"\r\n0\t1\r10\t0\x0c\n110\t-"
+        runs = self.run_each_way(tmp_path, monkeypatch, ["omega"], data)
+        assert runs == [(0, "1\t1/2\n2\t3/4\n3\t7/8\n", "")] * 3
+
+    def test_console_stdin(self, tmp_path):
+        # A real stdin pipe, read by a fresh interpreter.
+        path = tmp_path / "bad.tsv"
+        data = b"1\t-\n\xff\t1\n"
+        path.write_bytes(data)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(cli.__file__).parents[1])]
+            + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+        for argv, stdin in (([str(path)], None), (["-"], data)):
+            result = subprocess.run(
+                [sys.executable, "-m", "omegalib.cli", "allocate", *argv],
+                input=stdin, capture_output=True, env=env, timeout=60)
+            assert (result.returncode, result.stdout, result.stderr) == (
+                2, b"", b"error: line 2: byte 0xff is not ASCII\n")
 
 
 class TestNegativeFlags:

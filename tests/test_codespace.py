@@ -493,12 +493,6 @@ def assert_same_run(lengths, free: list[str] | None = None) -> Counter:
     return shapes
 
 
-def _orderings(multiset, rng):
-    shuffled = list(multiset)
-    rng.shuffle(shuffled)
-    return [list(multiset), list(multiset[::-1]), shuffled]
-
-
 def _alloc_stream_lengths(rng: random.Random, size: int) -> list[int]:
     """Lengths shaped like the benchmark's request streams: shuffled blocks
     holding each of 12..28 once, and one request in each block of a hundred,
@@ -515,13 +509,16 @@ def _alloc_stream_lengths(rng: random.Random, size: int) -> list[int]:
 
 
 class TestDifferentialAgainstLinearScan:
-    def test_exhaustive_multisets_in_three_orders(self):
-        rng = random.Random(2)
+    def test_exhaustive_multisets_in_three_orders(self, kraft_orderings):
         shapes = Counter()
-        for multiset in enumerate_kraft_multisets(6):
-            for order in _orderings(multiset, rng):
-                # A trailing 0 and 6 probe the refusal path and the last gap.
-                shapes.update(assert_same_run(order + [0, 6]))
+        runs = 0
+        for order in kraft_orderings(random.Random(2)):
+            # A trailing 0 and 6 probe the refusal path and the last gap.
+            shapes.update(assert_same_run(order + [0, 6]))
+            runs += 1
+        # Ascending, descending and shuffled orders that repeat a sibling
+        # order of the same multiset are run once.
+        assert runs == 81_578
         assert set(shapes) == SHAPES
 
     def test_seeded_random_kraft_sequences(self):
@@ -709,18 +706,6 @@ def assert_witness_is_real(state: AllocatorState, report: InvariantReport) -> No
         assert report.witness is None
 
 
-def _criterion_3_orderings(multiset, rng):
-    """The distinct ascending, descending and shuffled orders criterion 3 uses."""
-    ascending = list(multiset)
-    shuffled = ascending[:]
-    rng.shuffle(shuffled)
-    kept = []
-    for candidate in (ascending, ascending[::-1], shuffled):
-        if candidate not in kept:
-            kept.append(candidate)
-    return kept
-
-
 def _copy_state(state: AllocatorState) -> AllocatorState:
     return AllocatorState(list(state.free), list(state.allocated), state.mass_allocated)
 
@@ -741,17 +726,15 @@ CORRUPTIONS = {
 
 
 class TestCheckInvariantsDifferential:
-    def test_criterion_3_multiset_orderings(self):
-        rng = random.Random(1729)
+    def test_criterion_3_multiset_orderings(self, kraft_orderings):
         reference, check = reference_check_invariants, check_invariants
-        for multiset in enumerate_kraft_multisets(6):
-            for lengths in _criterion_3_orderings(multiset, rng):
-                state = new_allocator()
-                for i, n in enumerate(lengths, 1):
-                    allocate(state, n)
-                    rest = lengths[i:]
-                    # Every state here passes, so the reports match whole.
-                    assert check(state, rest) == reference(state, rest), (lengths, i)
+        for lengths in kraft_orderings(random.Random(1729)):
+            state = new_allocator()
+            for i, n in enumerate(lengths, 1):
+                allocate(state, n)
+                rest = lengths[i:]
+                # Every state here passes, so the reports match whole.
+                assert check(state, rest) == reference(state, rest), (lengths, i)
 
     def test_seeded_random_sequences(self):
         rng = random.Random(31)

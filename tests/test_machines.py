@@ -1,14 +1,18 @@
 """Machine tables: halting mass, complexity, combination, transform."""
 
+import contextlib
+import io
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from omegalib import codespace, machines, verify
-from omegalib.bits import MAX_TEXT_LENGTH, parse_word, prefix_free, validate_bits
+from omegalib import cli, codespace, machines, mltest, verify
+from omegalib.bits import (MAX_TEXT_LENGTH, iter_length_lex, length_lex_key,
+                           parse_word, prefix_free, validate_bits)
 from omegalib.errors import StageOutOfRange
+from omegalib.exact import measure_of_lengths
 from omegalib.machines import (MachineTable, chaitin_transform,
                                chaitin_transform_table,
                                combine_universal, complexity, compose,
@@ -204,6 +208,88 @@ class TestOmega:
             for n in range(8):
                 if partial.as_fraction() >= total.as_fraction() - Fraction(1, 2**n):
                     assert all(len(p) >= n for p, _ in t.entries[stage:])
+
+
+def omega_approx_own_bound(table, k):
+    """``omega_approx`` as it was, with its own copy of the stage bound."""
+    if not 0 <= k <= len(table):
+        raise StageOutOfRange(f"stage {k} outside 0..{len(table)}")
+    return measure_of_lengths(len(p) for p, _ in table.entries[:k])
+
+
+class TestStages:
+    """``MachineTable.prefix`` is the one stage bound, and ``omega_sums``
+    gives ``omega_approx`` at every stage from one pass."""
+
+    EDGES = {
+        "empty": table(),
+        "empty program": table(("", "1")),
+        "complete code": table(("0", "1"), ("10", ""), ("110", "0"), ("111", "1")),
+        "long next to short": table(("1", ""), ("0" * MAX_TEXT_LENGTH, "1")),
+        "not prefix-free": table(("0", ""), ("", "1"), ("01", "")),
+    }
+
+    def tables(self):
+        rng = random.Random(41)
+        for _ in range(200):
+            yield verify.random_table(rng, 40, rng.choice((3, 12, 40)))
+        yield from self.EDGES.values()
+
+    def test_omega_sums_at_every_stage(self):
+        for t in self.tables():
+            sums, scale = machines.omega_sums(t)
+            assert len(sums) == len(t) + 1
+            assert scale == max(map(len, t.domain), default=0)
+            for k, total in enumerate(sums):
+                reference = omega_approx_own_bound(t, k)
+                assert Fraction(total, 1 << scale) == reference, (t, k)
+                assert omega_approx(t, k) == reference, (t, k)
+
+    def test_omega_sums_edges(self):
+        assert machines.omega_sums(self.EDGES["empty"]) == ([0], 0)
+        assert machines.omega_sums(self.EDGES["empty program"]) == ([0, 1], 0)
+        assert machines.omega_sums(self.EDGES["complete code"]) == ([0, 4, 6, 7, 8], 3)
+        sums, scale = machines.omega_sums(self.EDGES["long next to short"])
+        assert scale == MAX_TEXT_LENGTH
+        assert sums == [0, 1 << (scale - 1), (1 << (scale - 1)) + 1]
+        # Omega above 1 on a table that is not prefix-free.
+        assert machines.omega_sums(self.EDGES["not prefix-free"]) == ([0, 2, 6, 7], 2)
+
+    @pytest.mark.parametrize("name", list(EDGES))
+    def test_prefix_bound(self, name):
+        t = self.EDGES[name]
+        n = len(t)
+        assert t.prefix(0) == ()
+        assert t.prefix(n) == t.entries
+        for k in (-1, n + 1):
+            with pytest.raises(StageOutOfRange) as raised:
+                t.prefix(k)
+            assert str(raised.value) == f"stage {k} outside 0..{n}"
+
+    def test_every_stage_reader_has_the_same_bound(self, tmp_path):
+        t = self.EDGES["complete code"]
+        path = tmp_path / "u.tsv"
+        path.write_text("".join(f"{line}\n" for line in format_table_lines(t)))
+        for k in (-1, 5):
+            message = f"stage {k} outside 0..4"
+            for read in (lambda: omega_approx(t, k),
+                         lambda: complexity(t, "1", k),
+                         lambda: mltest.complexity_test_stage(t, 0, k)):
+                with pytest.raises(StageOutOfRange, match=f"^{message}$"):
+                    read()
+            with contextlib.redirect_stdout(io.StringIO()) as out, \
+                    contextlib.redirect_stderr(io.StringIO()) as err:
+                code = cli.main(["omega", str(path), "--k", str(k)])
+            assert (code, out.getvalue(), err.getvalue()) == (
+                3, "", f"error: {message}\n")
+
+
+class TestLengthLexOrder:
+    def test_first_words_are_all_words_up_to_twelve_bits(self):
+        words = ["".join(bits) for n in range(13)
+                 for bits in itertools.product("01", repeat=n)]
+        first = list(itertools.islice(iter_length_lex(), 2 ** 13 - 1))
+        assert first == sorted(words, key=length_lex_key)
 
 
 class TestComplexity:

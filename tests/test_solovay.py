@@ -9,13 +9,12 @@ from hypothesis import given, strategies as st
 from omegalib import solovay
 from omegalib.codespace import allocate_all
 from omegalib.ce_real import RationalSeq
-from omegalib.errors import InsufficientMass, LengthMismatch, StageOutOfRange
+from omegalib.errors import InsufficientMass, LengthMismatch
 from omegalib.exact import Interval, parse_rational, pow2_neg
 from omegalib.machines import MachineTable, compose, omega_approx
 from omegalib.solovay import (DominationWitness, build_test,
                               check_domination, extract_witness,
-                              interleave_requests, omega_rep_compose,
-                              representation_partial)
+                              interleave_requests, omega_rep_compose)
 from omegalib.verify import (check_test_family, random_gamma_lengths,
                              random_increasing_rationals, random_table)
 
@@ -175,18 +174,6 @@ class TestRepresentationStream:
         _, mass = omega_rep_compose(self.V, c=1, gamma_lengths=[2], k=2)
         halting = omega_approx(self.V, 2).as_fraction()
         assert mass == Fraction(1, 2) * halting + Fraction(1, 4)
-
-    def test_representation_partial_reference(self):
-        b = seq((Fraction(1, 8), Fraction(1, 4)))
-        assert representation_partial(self.V, 1, b, 2) == Fraction(5, 8)
-        assert representation_partial(self.V, 1, b, 0) == 0
-
-    def test_representation_partial_bounds(self):
-        b = seq((Fraction(1, 8),))
-        with pytest.raises(StageOutOfRange):
-            representation_partial(self.V, 1, b, 3)
-        with pytest.raises(StageOutOfRange):
-            representation_partial(self.V, 1, b, 2)  # b runs dry
 
 
 def build_test_any_scan(a, b, level, depth):

@@ -12,8 +12,8 @@ from typing import Iterator
 
 import pytest
 
-from omegalib import codespace, verify
-from omegalib.exact import Dyadic
+from omegalib import codespace, machines, solovay, verify
+from omegalib.exact import Dyadic, measure_of_lengths, pow2_neg
 from omegalib.verify import (check_invariants_along, enumerate_kraft_multisets,
                              random_gamma_lengths, random_kraft_lengths)
 
@@ -150,6 +150,15 @@ def test_multiset_family_digest():
         "0f855de5d35fe04185e90846e156c61d180feb10400a17f333cfdc484c505ef3")
 
 
+def test_sweep_family_digest(kraft_orderings):
+    family = list(kraft_orderings(random.Random(1729)))
+    assert len(family) == 81_579
+    assert sum(map(len, family)) == 1_818_785
+    text = "\n".join(",".join(map(str, s)) for s in family)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "81c66307c878f8955963668f7fbf1565ccc845a224f7e55114301bb6bf778ce0")
+
+
 def test_criterion_stream_digest():
     rng = random.Random(1729)
     draws = [random_kraft_lengths(rng, 50, 16) for _ in range(10_000)]
@@ -269,3 +278,161 @@ class TestRunner:
             for name in verify.SUITE_NAMES})
         results = verify.run_suites(["kc", "all"])
         assert [r.name for r in results] == ran == list(verify.SUITE_NAMES)
+
+
+# ---------------------------------------------------------------------------
+# stage checks, kept literally from before they read ``omega_sums``
+# ---------------------------------------------------------------------------
+
+def ref_check_omega_composition(machine, c, gamma_lengths):
+    """The measure identity of the interleaved composition, at every round."""
+    failures = []
+    rounds = max(len(machine), len(gamma_lengths))
+    for k in range(rounds + 1):
+        composed, mass = solovay.omega_rep_compose(machine, c, gamma_lengths, k)
+        v_stage = min(k, len(machine))
+        g_stage = min(k, len(gamma_lengths))
+        expected = (pow2_neg(c).as_fraction()
+                    * machines.omega_approx(machine, v_stage).as_fraction()
+                    + measure_of_lengths(gamma_lengths[:g_stage]).as_fraction())
+        if mass.as_fraction() != expected:
+            failures.append(f"round {k}: measure {mass} != {expected}")
+
+    requests = solovay.interleave_requests(machine, c, gamma_lengths, rounds)
+    issued = codespace.allocate_all(requests)
+    programs = machine.domain
+    cursor = 0
+    for i in range(rounds):
+        if i < len(machine):
+            word, _ = issued[cursor]
+            wanted = len(programs[i]) + c
+            if len(word) != wanted:
+                failures.append(f"round {i + 1}: codeword length {len(word)} != {wanted}")
+            cursor += 1
+        if i < len(gamma_lengths):
+            cursor += 1
+    return failures
+
+
+def ref_check_tail_bound(table):
+    """Once the halting mass is within ``2**-n`` of its limit, all later
+    programs have length at least ``n``."""
+    failures = []
+    total = table.domain_measure()
+    for t in range(len(table) + 1):
+        partial = machines.omega_approx(table, t)
+        for n in range(verify.TAIL_MAX_LEVEL + 1):
+            if partial.as_fraction() >= total.as_fraction() - pow2_neg(n).as_fraction():
+                short = [p for p, _ in table.entries[t:] if len(p) < n]
+                if short:
+                    failures.append(f"stage {t}, level {n}: short tail {short}")
+    return failures
+
+
+def outcome(call, *args):
+    """A call's result, or its exception's type and message."""
+    try:
+        return call(*args)
+    except Exception as exc:          # compared, never swallowed
+        return type(exc), str(exc)
+
+
+def suite_arguments(monkeypatch, suite, check, seed):
+    """The arguments ``verify`` passes to ``check`` in one suite run."""
+    calls = []
+    real = getattr(verify, check)
+    monkeypatch.setattr(verify, check, lambda *args: calls.append(args) or real(*args))
+    verify.run_suites([suite], seed=seed)
+    monkeypatch.undo()
+    return calls
+
+
+def criterion_5_arguments():
+    """The machines, shifts and chosen lengths of acceptance criterion 5."""
+    rng = random.Random(1729)
+    for _ in range(100):
+        machine = verify.random_table(rng, 20, 10, nonempty=True)
+        c = rng.randint(0, 4)
+        budget = 1 - pow2_neg(c).as_fraction() * machine.domain_measure().as_fraction()
+        yield machine, c, random_gamma_lengths(rng, budget, 10)
+
+
+def table(*programs):
+    return machines.MachineTable(tuple((p, "") for p in programs))
+
+
+class TestStageChecksDifferential:
+    """``check_tail_bound`` and ``check_omega_composition`` read one
+    ``omega_sums`` pass and give the failure lists their per-stage
+    ``omega_approx`` bodies gave."""
+
+    @pytest.mark.parametrize("seed", [1729, 3])
+    def test_suite_tables(self, monkeypatch, seed):
+        tails = suite_arguments(monkeypatch, "omega", "check_tail_bound", seed)
+        compositions = suite_arguments(monkeypatch, "dominate",
+                                       "check_omega_composition", seed)
+        assert (len(tails), len(compositions)) == (25, 20)
+        for args in tails:
+            assert verify.check_tail_bound(*args) == ref_check_tail_bound(*args) == []
+        for args in compositions:
+            assert verify.check_omega_composition(*args) == \
+                ref_check_omega_composition(*args) == []
+
+    def test_criterion_5_tables(self):
+        for machine, c, gamma in criterion_5_arguments():
+            assert verify.check_omega_composition(machine, c, gamma) == \
+                ref_check_omega_composition(machine, c, gamma) == []
+            assert verify.check_tail_bound(machine) == ref_check_tail_bound(machine) == []
+
+    NOT_PREFIX_FREE = table("0", "", "01", "1")
+
+    def test_table_that_is_not_prefix_free(self):
+        t = self.NOT_PREFIX_FREE
+        assert t.domain_measure() > 1
+        assert verify.check_tail_bound(t) == ref_check_tail_bound(t) == []
+        for c in range(4):
+            # The shifted programs overflow code space while c < 2.
+            assert outcome(verify.check_omega_composition, t, c, [3]) == \
+                outcome(ref_check_omega_composition, t, c, [3])
+
+    def test_wrong_composed_mass(self, monkeypatch):
+        real = solovay.omega_rep_compose
+
+        def off_on_odd_rounds(machine, c, gamma_lengths, k):
+            composed, mass = real(machine, c, gamma_lengths, k)
+            return composed, mass + Dyadic(k % 2, 30)
+
+        monkeypatch.setattr(solovay, "omega_rep_compose", off_on_odd_rounds)
+        found = 0
+        for machine, c, gamma in criterion_5_arguments():
+            ours = verify.check_omega_composition(machine, c, gamma)
+            assert ours == ref_check_omega_composition(machine, c, gamma)
+            found += len(ours)
+        assert found > 100
+
+    def test_mass_read_too_small(self, monkeypatch):
+        # A later program's own mass is part of the gap, so a program shorter
+        # than n never follows a stage within 2**-n of the total: the check
+        # cannot fail on a table.  A mass reading 2**-8 too small makes it
+        # fail at every level that can fail, 1 to 8 (no program is shorter
+        # than 0 bits), on both bodies.
+        real_sums = machines.omega_sums
+
+        def shifted(t):
+            return machines.MachineTable(tuple(("0" * 8 + p, y) for p, y in t.entries))
+
+        monkeypatch.setattr(machines, "omega_sums", lambda t: real_sums(shifted(t)))
+        monkeypatch.setattr(machines, "omega_approx", lambda t, k: measure_of_lengths(
+            len(p) + 8 for p, _ in t.prefix(k)))
+        monkeypatch.setattr(machines.MachineTable, "domain_measure",
+                            lambda t: measure_of_lengths(len(p) + 8 for p in t.domain))
+        levels = set()
+        tables = [table("0", "10", "110", "1110", "11110", "111110", "1111110"),
+                  table("11", "10", "0"), self.NOT_PREFIX_FREE, table("1", "")]
+        rng = random.Random(43)
+        tables += [verify.random_table(rng, 12, 8) for _ in range(25)]
+        for t in tables:
+            ours = verify.check_tail_bound(t)
+            assert ours == ref_check_tail_bound(t), t
+            levels.update(int(line.split("level ")[1].split(":")[0]) for line in ours)
+        assert levels == set(range(1, 9))
