@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 from .bits import (_BITS, MAX_TEXT_LENGTH, bit_value, format_word,
@@ -31,11 +31,13 @@ class MachineTable:
 
     Construction validates the alphabet only; program uniqueness and
     prefix-freeness are checked by ``validate`` so that defective tables can
-    be represented and then rejected.  The input is read once and its
-    entries become ``(p, y)`` tuples; one C-level test of the joined words
-    then checks the whole alphabet.  Only when that fails is every word
-    checked in turn, so the first bad entry or word raises the same error,
-    with the same message, as a word-by-word check.
+    be represented and then rejected.  The input is read once and split
+    into its programs and outputs, which also checks that every entry is a
+    pair; one C-level test of the joined words then checks the whole
+    alphabet.  Only when that fails is every word checked in turn, so the
+    first bad entry or word raises the same error, with the same message,
+    as a word-by-word check.  A tuple of ``tuple`` pairs is kept as it is;
+    any other pairs become ``(p, y)`` tuples.
     """
 
     entries: tuple[tuple[str, str], ...]
@@ -43,13 +45,17 @@ class MachineTable:
     def __post_init__(self):
         rows = tuple(self.entries)
         try:
-            entries = tuple((p, y) for p, y in rows)
-            ok = _BITS.issuperset("".join(chain.from_iterable(entries)))
-        except (TypeError, ValueError):
+            programs, outputs = zip(*rows, strict=True)
+            ok = _BITS.issuperset("".join(programs) + "".join(outputs))
+        except (TypeError, ValueError):     # also the empty table
             ok = False
         if not ok:
             entries = tuple((validate_bits(p), validate_bits(y))
                             for p, y in rows)
+        elif {*map(type, rows)} == {tuple}:
+            entries = rows
+        else:
+            entries = tuple(zip(programs, outputs))
         object.__setattr__(self, "entries", entries)
 
     def __len__(self) -> int:

@@ -3,7 +3,7 @@
 import copy
 import pickle
 import random
-from collections import Counter
+from collections import Counter, namedtuple
 from fractions import Fraction
 from itertools import product, takewhile
 
@@ -12,7 +12,8 @@ from hypothesis import given, strategies as st
 
 from omegalib import codespace
 from omegalib.bits import (MAX_LENGTH_DIGITS, MAX_TEXT_LENGTH, format_word,
-                           iter_length_lex, parse_word, prefix_free, validate_bits)
+                           iter_length_lex, parse_word, prefix_free, read_lines,
+                           validate_bits)
 from omegalib.codespace import (AllocatorState, InvariantReport, allocate, allocate_all,
                                 check_invariants, extend_prefix,
                                 new_allocator, parse_request_lines)
@@ -411,6 +412,219 @@ class TestRequestFilesDifferential:
             assert self.check(lambda: tuple(lines)) == expected
             assert self.check(lambda: (line for line in lines)) == expected
             assert self.check(lambda: iter(lines)) == expected
+
+
+# --- ``parse_request_lines`` as it was before each distinct line was parsed
+# once: the shared line loop over the per-line parser, kept literally.
+
+def request_line_per_line(line):
+    fields = line.split("\t")
+    if len(fields) != 2:
+        raise ValueError(f"expected 'n<TAB>y', got {line!r}")
+    length = fields[0].strip()
+    if not (length.isascii() and length.isdigit()):
+        raise ValueError(f"length {fields[0]!r} is not a natural number")
+    if len(length) > MAX_LENGTH_DIGITS:
+        raise ValueError(f"length has {len(length)} digits, "
+                         f"above the cap of {MAX_LENGTH_DIGITS}")
+    n = int(length)
+    if n > MAX_TEXT_LENGTH:
+        raise ValueError(f"length {n} is above the cap of {MAX_TEXT_LENGTH}")
+    return n, parse_word(fields[1])
+
+
+def parse_request_lines_per_line(lines):
+    return read_lines(lines, request_line_per_line)
+
+
+def alloc_stream_lines(rng: random.Random, size: int) -> list[str]:
+    """Request lines shaped like the benchmark's: ``_alloc_stream_lengths``
+    with an output of 0 to 6 random bits on each."""
+    return [f"{n}\t{format_word(random_word(rng, 6))}"
+            for n in _alloc_stream_lengths(rng, size)]
+
+
+class TestOneParsePerDistinctLine:
+    """The reader that parses each distinct line once returns what the per-line
+    reader returned, or raises its first exception with the same type and
+    message."""
+
+    def check(self, make_lines):
+        new = parsed(lambda: parse_request_lines(make_lines()))
+        assert new == parsed(lambda: parse_request_lines_per_line(make_lines()))
+        return new
+
+    def test_seeded_repeated_good_and_bad_lines(self):
+        rng = random.Random(17)
+        good = [f"{rng.randint(0, 30)}\t{format_word(random_word(rng, 5))}"
+                for _ in range(12)]
+        bad = [b for line in good[:4] for b in bad_request_lines(line)]
+        kinds = Counter()
+        for _ in range(600):
+            pool = rng.sample(good, 4) + rng.sample(bad, rng.choice((0, 0, 1, 2)))
+            lines = [rng.choice(("", " ")) + rng.choice(pool) + rng.choice(("", "\r"))
+                     for _ in range(rng.randint(0, 40))]
+            result = self.check(lambda: lines)
+            kinds[list if isinstance(result, list) else result[0]] += 1
+        assert set(kinds) == {list, ValueError}
+        assert min(kinds.values()) > 100
+
+    def test_bad_line_one_character_from_a_good_line(self):
+        count = 0
+        for good in REQUEST_LINES:
+            for pos in range(len(good)):
+                for bad in ("2", "x", "\t", " ", "١", "-"):
+                    line = good[:pos] + bad + good[pos + 1:]
+                    if line == good:
+                        continue
+                    result = self.check(lambda: [good, "1\t1", good, line, good, line])
+                    if not isinstance(result, list):
+                        assert result[1].startswith("line 4: ")
+                        count += 1
+        assert count > 60
+
+    def test_same_line_with_other_whitespace(self):
+        lines = ["3\t01", " 3\t01", "3\t01 ", "\t3\t01", "3 \t01", " 3 \t01\r",
+                 "\x0c3\t01", "3\t01\n", "3\t01"]
+        assert self.check(lambda: lines) == [(3, "01")] * len(lines)
+        result = self.check(lambda: lines + ["3\t 01", "3\t01"])
+        assert result == (ValueError, "line 10: not a binary word: ' 01'")
+        result = self.check(lambda: lines + ["3\t0 1"])
+        assert result == (ValueError, "line 10: not a binary word: '0 1'")
+
+    def test_blank_crlf_and_form_feed_lines(self):
+        lines = ["", "\r\n", "\x0c", "2\t1\r\n", "\x0c2\t1", "   ", "\r",
+                 "2\t1", "\x0c\r\n", "2\t-\x0c"]
+        assert self.check(lambda: lines * 3) == [(2, "1"), (2, "1"), (2, "1"), (2, "")] * 3
+        result = self.check(lambda: lines + ["\x0c", "2\t\x0c1"])
+        assert result == (ValueError, "line 12: not a binary word: '\\x0c1'")
+
+    def test_length_caps(self):
+        at_cap = f"{MAX_TEXT_LENGTH}\t-"
+        over_cap = f"{MAX_TEXT_LENGTH + 1}\t-"
+        digits = "0" * (MAX_LENGTH_DIGITS - 1) + "7"
+        assert len(digits) == MAX_LENGTH_DIGITS
+        lines = [at_cap, f"{digits}\t1", at_cap, f"{digits}\t1"]
+        assert self.check(lambda: lines) == [(MAX_TEXT_LENGTH, ""), (7, "1")] * 2
+        assert self.check(lambda: lines + [over_cap, at_cap]) == \
+            (ValueError, "line 5: length 16385 is above the cap of 16384")
+        assert self.check(lambda: lines + [f"0{digits}\t1", at_cap]) == \
+            (ValueError, "line 5: length has 101 digits, above the cap of 100")
+
+    def test_lines_that_are_not_str(self):
+        for odd in (5, None, ["2\t1"], []):
+            for lines in (REQUEST_LINES + [odd], [odd, "2\t1"],
+                          REQUEST_LINES * 2 + [odd] + REQUEST_LINES):
+                assert self.check(lambda: lines)[0] in (AttributeError, TypeError)
+            assert self.check(lambda: REQUEST_LINES + ["2\t2", odd]) == \
+                (ValueError, "line 5: not a binary word: '2'")
+
+    def test_lines_that_stop_with_an_error(self):
+        def then_fail(lines):
+            yield from lines
+            raise RuntimeError("read failed")
+
+        for lines in (REQUEST_LINES * 2, [], REQUEST_LINES + ["2\t2"],
+                      REQUEST_LINES + ["x"], REQUEST_LINES + [None]):
+            result = self.check(lambda: then_fail(lines))
+            assert result[0] is not list
+        assert self.check(lambda: then_fail(REQUEST_LINES)) == \
+            (RuntimeError, "read failed")
+
+    def test_more_distinct_lines_than_are_shared(self):
+        rng = random.Random(18)
+        shared = codespace._SHARED_LINES
+        lines = [f"{rng.randint(0, 60)}\t{i:b}" for i in range(shared + 500)]
+        assert len(set(lines)) == len(lines)
+        lines += rng.sample(lines, 1000)
+        result = self.check(lambda: lines)
+        assert len(result) == len(lines)
+        # A bad output, or a length that is not ASCII, on a line first seen
+        # after the dict is full.
+        for late in ("5\t0120", "٥\t1", "5\t01\t1"):
+            for where in (len(lines), shared + 100):
+                bad = lines[:where] + [late] + lines[where:]
+                result = self.check(lambda: bad)
+                assert result[1].startswith(f"line {where + 1}: ")
+
+    def test_alloc_stream_shaped_lines_share_their_tuples(self):
+        lines = alloc_stream_lines(random.Random(19), 45_000)
+        result = self.check(lambda: lines)
+        assert len(result) == 45_000
+        distinct = len(set(lines))
+        assert distinct < 5_000
+        assert len({id(request) for request in result}) <= distinct
+
+
+# --- ``allocate_all`` as it was, checking each output as its request is
+# served, kept literally.
+
+def allocate_all_per_request(requests):
+    state = new_allocator()
+    table: list[tuple[str, str]] = []
+    for i, (n, y) in enumerate(requests):
+        try:
+            word = allocate(state, n)
+        except InsufficientMass:
+            raise InsufficientMass(n, index=i) from None
+        table.append((word, validate_bits(y)))
+    return table
+
+
+class TestAllocateAllDifferential:
+    """``allocate_all`` with one whole-input output check returns what the
+    per-request loop returned, or raises its first exception with the same
+    type, message and refusal index."""
+
+    def check(self, make_requests):
+        new = parsed(lambda: allocate_all(make_requests()))
+        assert new == parsed(lambda: allocate_all_per_request(make_requests()))
+        return new
+
+    def test_seeded_requests(self):
+        rng = random.Random(20)
+        for _ in range(200):
+            rows = [(n, random_word(rng, 6)) for n in random_kraft_lengths(rng, 30, 14)]
+            rows += [(rng.randint(0, 3), "")] * rng.randint(0, 2)
+            for make in (lambda: rows, lambda: tuple(rows),
+                         lambda: (row for row in rows), lambda: iter(rows)):
+                self.check(make)
+
+    def test_bad_output_before_at_and_after_a_refusal(self):
+        rows = [(1, "0"), (2, "1"), (2, ""), (1, "01"), (3, "1")]
+        assert self.check(lambda: rows) == (
+            InsufficientMass, "no free prefix can honour a length-1 request "
+            "(request index 3)")
+        count = 0
+        for i in range(len(rows)):
+            for bad in ("2", "0x", " ", "٠", None, 5, b"01", ["0"], ("0",)):
+                odd = rows[:i] + [(rows[i][0], bad)] + rows[i + 1:]
+                result = self.check(lambda: odd)
+                # The refused request is refused before its output is read.
+                assert result[0] is (InsufficientMass if i >= 3 else
+                                     ValueError if isinstance(bad, str) else TypeError)
+                count += 1
+        assert count == 45
+
+    def test_odd_requests(self):
+        Request = namedtuple("Request", "n y")
+        for odd in ([1, "0"], [1, "2"], (1,), (), (1, "0", "1"), (1, "2", "0"),
+                    {0: 1, 1: "0"}, None, "10", Request(1, "0"), Request(1, "2"),
+                    (-1, "0"), ("1", "0"), (None, "0"), (1.0, "0")):
+            for rows in ([odd], [(2, "1"), odd, (2, "0")], [(2, "1"), (2, "x"), odd],
+                         [(0, ""), odd, (1, "2")]):
+                self.check(lambda: rows)
+
+    def test_requests_that_stop_with_an_error(self):
+        def then_fail(rows):
+            yield from rows
+            raise RuntimeError("read failed")
+
+        for rows in ([(1, "0"), (2, "1")], [(1, "0"), (2, "2")],
+                     [(0, ""), (0, "")], [(1, "0"), None], []):
+            result = self.check(lambda: then_fail(rows))
+            assert result[0] is not list
+        assert self.check(lambda: then_fail([(1, "0")])) == (RuntimeError, "read failed")
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import contextlib
 import io
 import itertools
 import random
+from collections import namedtuple
 from fractions import Fraction
 
 import pytest
@@ -163,6 +164,16 @@ class TestConstructionDifferential:
     @pytest.mark.parametrize("rows", [(), [], None, 5, "", "01"])
     def test_empty_and_non_iterable(self, rows):
         self.check(lambda: rows)
+
+    def test_tuple_of_tuple_pairs_is_kept(self):
+        pairs = verify.random_table(random.Random(11), 30, 12, max_out=20).entries
+        assert MachineTable(pairs).entries is pairs
+        Pair = namedtuple("Pair", "p y")
+        for rows in ([list(e) for e in pairs], tuple(Pair(*e) for e in pairs),
+                     tuple(map(iter, pairs)), (e for e in pairs)):
+            entries = MachineTable(rows).entries
+            assert entries == pairs
+            assert {*map(type, entries)} == {tuple}
 
 
 class TestPrefixFreeDifferential:
