@@ -154,16 +154,12 @@ def allocate_all(requests: Iterable[tuple[int, str]]) -> list[tuple[str, str]]:
     checked as its request is served, so a bad output still raises before a
     later refusal, with the same error and message.
     """
-    rows = _read_all(requests, lambda rows: _serve(rows, False))
+    rows = _read_all(requests, allocate_all)
     try:
         checked = ({*map(type, rows)} <= {tuple}
                    and _BITS.issuperset("".join(map(itemgetter(1), rows))))
     except (IndexError, TypeError):     # a short tuple, or an output not a str
         checked = False
-    return _serve(rows, checked)
-
-
-def _serve(rows: list, checked: bool) -> list[tuple[str, str]]:
     state = new_allocator()
     table: list[tuple[str, str]] = []
     for i, (n, y) in enumerate(rows):
@@ -178,8 +174,8 @@ def _serve(rows: list, checked: bool) -> list[tuple[str, str]]:
 
 
 def _read_all(items: Iterable, replay) -> list:
-    """``list(items)``.  If reading stops with an error part way, the items
-    read so far go to ``replay`` first, so that a bad earlier item raises
+    """``list(items)``.  If reading stops with an error part way, ``replay``
+    runs first on the items read so far, so that a bad earlier item raises
     its own error, as a loop over ``items`` would have."""
     rows: list = []
     try:
@@ -327,7 +323,7 @@ def parse_request_lines(lines: Iterable[str]) -> list[tuple[int, str]]:
     same error, with the same message, and a line that is not a ``str``
     raises its own error.
     """
-    rows = _read_all(lines, lambda rows: read_lines(rows, _request_line))
+    rows = _read_all(lines, parse_request_lines)
     requests = []
     append = requests.append
     seen: dict = {}
