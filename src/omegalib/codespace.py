@@ -174,9 +174,12 @@ def allocate_all(requests: Iterable[tuple[int, str]]) -> list[tuple[str, str]]:
 
 
 def _read_all(items: Iterable, replay) -> list:
-    """``list(items)``.  If reading stops with an error part way, ``replay``
-    runs first on the items read so far, so that a bad earlier item raises
-    its own error, as a loop over ``items`` would have."""
+    """``items`` as a list, itself if it is one.  If reading stops with an
+    error part way, ``replay`` runs first on the items read so far, so that
+    a bad earlier item raises its own error, as a loop over ``items`` would
+    have."""
+    if type(items) is list:
+        return items
     rows: list = []
     try:
         rows.extend(items)
