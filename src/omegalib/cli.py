@@ -83,8 +83,11 @@ def _check_level(flag: str, level: int | None, cap: int | None = MAX_LEVEL) -> N
 
 
 def _write(lines) -> None:
-    """Write the output lines with one call to the current ``sys.stdout``."""
-    sys.stdout.write("".join(line + "\n" for line in lines))
+    """Write the output lines with one call to the current ``sys.stdout``.
+
+    One join of the lines and an empty last one ends every line with a
+    newline and holds each line once; no lines write ``""``."""
+    sys.stdout.write("\n".join([*lines, ""]))
 
 
 def _exact(value, approx: bool) -> str:

@@ -20,10 +20,12 @@ walk with constant work per multiset.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import accumulate, repeat, zip_longest
 from math import isqrt
+from operator import lt
 from typing import Callable, Iterator, Sequence
 
 from . import ce_real, codespace, kc_oracle, machines, mltest, solovay
@@ -189,18 +191,101 @@ def check_differential(lengths: Sequence[int]) -> list[str]:
 
 
 def check_invariants_along(lengths: Sequence[int]) -> list[str]:
-    """All five allocator invariants after every single allocation."""
+    """All five allocator invariants after every single allocation.
+
+    One request changes only the free word it splits, so a step after a
+    verified state is proved from what it changed.  Let the union of free
+    and issued words be a complete prefix-free code before the step.  The
+    step passes when the issued list grew by exactly one codeword ``w``,
+    exactly one free word ``s`` left the pool, ``w`` and the words that
+    entered it extend ``s``, are pairwise prefix-free and carry mass
+    ``2**-len(s)``, ``w`` is not free, the free lengths rise strictly, the
+    ledger is one minus the free mass and the pending lengths fit in it.
+    Then the new words tile the cylinder of ``s``, which no other word of
+    the union meets, so the union is again a complete prefix-free code and
+    ``check_invariants`` would pass: no verdict changes.  Masses are exact
+    integers at the longest requested length.
+
+    The full ``check_invariants`` runs at the first request, at any step
+    that does not pass this way, and after any step that failed.  Every
+    failure message comes from its report.  A length that is not a natural
+    number, a word longer than every request or a ledger at a finer scale
+    sends the step to the full check.
+    """
     failures = []
     state = codespace.new_allocator()
     allocate, check_invariants = codespace.allocate, codespace.check_invariants
+    try:
+        scale = max(lengths, default=0)
+        unit = 1 << scale
+        # pending[j]: the mass of the last j lengths, in units of 2**-scale.
+        pending = [*accumulate(map(unit.__rshift__, reversed(lengths)), initial=0)]
+    except (TypeError, ValueError):
+        pending = None
+    prev = None                 # free words of the last passed step; None: full check
     for i, n in enumerate(lengths, 1):
         allocate(state, n)
+        if prev is not None:
+            mass = _split(state, prev, issued, free_mass, scale)
+            if mass is not None and pending[-1 - i] <= mass:
+                prev, free_mass = state.free[:], mass
+                issued.append(state.allocated[-1])
+                continue
         report = check_invariants(state, lengths[i:])
-        if not report.ok:
+        prev = None
+        if report.ok:
+            free = state.free       # lengths rise, so the last word is the longest
+            if pending is not None and (not free or len(free[-1]) <= scale):
+                prev, issued = free[:], state.allocated[:]
+                free_mass = sum(map(unit.__rshift__, map(len, free)))
+        else:
             witness = "" if report.witness is None else f", witness {report.witness}"
             failures.append(f"{report.failures()} after request {i - 1} of {lengths}"
                             f"{witness}")
     return failures
+
+
+def _split(state: codespace.AllocatorState, prev: list[str], issued: list[str],
+           free_mass: int, scale: int) -> int | None:
+    """The free mass after one request, if it split one word of the verified
+    free list ``prev`` and issued one codeword after ``issued``, else ``None``.
+
+    The new free list must be ``prev`` with the one word ``stem`` replaced by
+    the words that entered it, and those words with the codeword must tile
+    the cylinder of ``stem``: they extend it, are pairwise prefix-free and
+    carry its mass.  The codeword then differs from every free word, because
+    ``prev`` less ``stem`` is incomparable with ``stem``.  Masses are integers
+    in units of ``2**-scale``; a ledger at a finer scale returns ``None``.
+    """
+    allocated, free = state.allocated, state.free
+    count = len(issued)
+    if len(allocated) != count + 1 or allocated[:count] != issued:
+        return None
+    word = allocated[-1]
+    sizes = [*map(len, free)]
+    # Where allocate split; the slice tests below are what prove it.  They
+    # also fail when made < 0, since prev repeats no word.
+    at = bisect_right(prev, len(word), key=len) - 1
+    made = len(free) - len(prev) + 1
+    if (at < 0 or free[:at] != prev[:at] or free[at + made:] != prev[at + 1:]
+            or state._scale > scale
+            # Strictly rising lengths also mean that no free word repeats.
+            or not all(map(lt, sizes, sizes[1:]))):
+        return None
+    stem = prev[at]
+    tiles = free[at:at + made]
+    tiles.append(word)
+    tiles.sort()
+    unit = 1 << scale
+    free_mass -= unit >> len(word)
+    # A tile longer than scale weighs 0 here and fails the mass test, since
+    # prefix-free extensions of stem weigh at most its mass.
+    if (all(map(str.startswith, tiles, repeat(stem)))
+            and not any(map(str.startswith, tiles[1:], tiles))
+            and sum(map(unit.__rshift__, map(len, tiles))) == unit >> len(stem)
+            and state._issued << (scale - state._scale) == unit - free_mass):
+        return free_mass
+    return None
 
 
 def check_extension_split(first: Sequence[int], second: Sequence[int]) -> list[str]:

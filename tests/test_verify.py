@@ -1,8 +1,9 @@
 """Seeded generators of ``omegalib.verify``: differential tests against the
 list-filtering draws and the recursive multiset walk they replaced, and
 digests that pin the families the acceptance sweeps and the benchmark use.
-Also the failure messages of ``check_invariants_along``, and the checks the
-suite runner makes."""
+Also the failure messages of ``check_invariants_along``, its split audit
+against the full check after every request, and the checks the suite runner
+makes."""
 
 import hashlib
 import random
@@ -208,6 +209,150 @@ class TestCheckInvariantsAlong:
                    lambda state, word: setattr(state, "mass_allocated", Dyadic(0)))
         assert check_invariants_along([1]) == [
             "['mass_matches_ledger'] after request 0 of [1]"]
+
+
+def ref_check_invariants_along(lengths):
+    """All five allocator invariants after every single allocation."""
+    failures = []
+    state = codespace.new_allocator()
+    allocate, check_invariants = codespace.allocate, codespace.check_invariants
+    for i, n in enumerate(lengths, 1):
+        allocate(state, n)
+        report = check_invariants(state, lengths[i:])
+        if not report.ok:
+            witness = "" if report.witness is None else f", witness {report.witness}"
+            failures.append(f"{report.failures()} after request {i - 1} of {lengths}"
+                            f"{witness}")
+    return failures
+
+
+def flip(bit: str) -> str:
+    return "1" if bit == "0" else "0"
+
+
+def newest_sibling(state, word) -> int:
+    """Where the free word ``word[:-1] + "1"`` is: the sibling that entered
+    the pool with ``word``, when the split was at least one bit deep."""
+    return state.free.index(word[:-1] + "1")
+
+
+def swap_siblings(state, word):
+    free, at = state.free, newest_sibling(state, word)
+    free[at - 1], free[at] = free[at], free[at - 1]
+
+
+def replace_sibling_outside(state, word):
+    """First bit flipped: outside the split word, when that is not empty."""
+    free, at = state.free, newest_sibling(state, word)
+    free[at] = flip(free[at][0]) + free[at][1:]
+
+
+def free_the_codeword(state, word):
+    state.free[newest_sibling(state, word)] = word
+
+
+def issue_extra(state, word):
+    """A valid state allocate would not make: the longest free word's
+    0-child is issued too, with its mass, and its 1-child stays free."""
+    stem = state.free[-1]
+    state.free[-1] = stem + "1"
+    state.allocated.append(stem + "0")
+    state.mass_allocated = state.mass_allocated + pow2_neg(len(stem) + 1)
+
+
+# With the swapped lengths of ``test_codeword_lengths_swapped``, these give
+# each condition of the split audit a state that it alone rejects, at the
+# middle step of ``TestCheckInvariantsAlongDifferential.LENGTHS``.
+DAMAGES = {
+    "drop a free word": lambda state, word: state.free.pop(newest_sibling(state, word)),
+    "append a duplicate free word": lambda state, word: state.free.append(state.free[-1]),
+    "rewrite an older codeword": lambda state, word: state.allocated.__setitem__(
+        0, state.allocated[0][:-1] + flip(state.allocated[0][-1])),
+    "swap two free words": swap_siblings,
+    "shorten a free word": lambda state, word: state.free.__setitem__(
+        0, state.free[0][:-1]),
+    "rewrite the longest free word": lambda state, word: state.free.__setitem__(
+        -1, state.free[-1][:-1] + flip(state.free[-1][-1])),
+    "add to the ledger": lambda state, word: setattr(
+        state, "mass_allocated", state.mass_allocated + pow2_neg(len(word))),
+    "add to the ledger at a finer scale": lambda state, word: setattr(
+        state, "mass_allocated", state.mass_allocated + pow2_neg(len(word) + 4)),
+    "replace a sibling with a word outside the split word": replace_sibling_outside,
+    "free the codeword too": free_the_codeword,
+    "issue an extra word": issue_extra,
+}
+
+
+class TestCheckInvariantsAlongDifferential:
+    """Each step proved from its split gives the failure list, or raises the
+    exception, of the full check after every request (kept literally above)."""
+
+    # Request 0 splits the empty word six deep.  Request 4 (length 5) splits
+    # the free word 001 two deep, between the free words 1 and 000001.
+    LENGTHS = [6, 2, 4, 5, 5, 3, 7]
+
+    @staticmethod
+    def both(lengths):
+        ours = outcome(check_invariants_along, lengths)
+        assert ours == outcome(ref_check_invariants_along, lengths), lengths
+        return ours
+
+    def test_sweep_sample(self, kraft_orderings):
+        rng = random.Random(19)
+        family = list(kraft_orderings(random.Random(1729)))
+        sample = rng.sample(family, 3000)
+        sample += [random_kraft_lengths(rng, 50, 16) for _ in range(1000)]
+        for lengths in sample:
+            assert self.both(lengths) == [], lengths
+
+    @pytest.mark.parametrize("lengths", [
+        [], [0], [1, 1], [0, 0], [1, 1, 1], [2, 1, 2, 3, 3],
+        [2, -1, 3], [-1], [3, 2, -2],
+        [2, 1.5], [1.5], [2.0, 1], [2, "3"], ["1"],
+    ])
+    def test_edge_sequences(self, lengths):
+        self.both(lengths)
+
+    @pytest.mark.parametrize("steps", [{0}, {4}, "every"], ids=["first", "middle", "every"])
+    @pytest.mark.parametrize("damage", list(DAMAGES))
+    def test_damaged_allocator(self, monkeypatch, damage, steps):
+        real, calls = codespace.allocate, []
+
+        def damaged(state, n):
+            word = real(state, n)
+            if steps == "every" or len(calls) in steps:
+                DAMAGES[damage](state, word)
+            calls.append(n)
+            return word
+        monkeypatch.setattr(codespace, "allocate", damaged)
+        ours = outcome(check_invariants_along, self.LENGTHS)
+        calls.clear()
+        theirs = outcome(ref_check_invariants_along, self.LENGTHS)
+        assert ours == theirs
+        if damage != "issue an extra word":
+            assert theirs != []
+
+    def test_codeword_lengths_swapped(self, monkeypatch):
+        # Requests 1 and 2 are served at each other's lengths: every step is
+        # a valid split with a matching ledger, but after request 1 the rest
+        # no longer fits.
+        real = codespace.allocate
+
+        def run(check):
+            served = iter([2, 2, 3, 2, 3])
+            monkeypatch.setattr(codespace, "allocate",
+                                lambda state, n: real(state, next(served)))
+            return outcome(check, [2, 3, 2, 2, 3])
+        assert run(check_invariants_along) == run(ref_check_invariants_along) == [
+            "['remaining_requests_fit'] after request 1 of [2, 3, 2, 2, 3]"]
+
+    def test_passing_run_checks_the_union_once(self, monkeypatch):
+        real, calls = codespace.check_invariants, []
+        monkeypatch.setattr(codespace, "check_invariants",
+                            lambda *args: calls.append(args) or real(*args))
+        lengths = [5, 3, 7, 4, 6, 8, 5, 7, 6, 8, 9, 4, 7, 8, 6, 9, 5, 8, 7, 9]
+        assert check_invariants_along(lengths) == []
+        assert len(calls) == 1
 
 
 class TestRunner:
