@@ -18,6 +18,7 @@ and canonical ``Dyadic`` partial sums.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -51,7 +52,8 @@ class RationalSeq:
             # The last accepted term as an integer pair; 0/1 before the first,
             # which every term inside (0, 1) clears.
             lp, lq = (cache[-1].numerator, cache[-1].denominator) if cache else (0, 1)
-            for raw in islice(self._iter, k - len(cache)):
+            # islice refuses a stop past sys.maxsize, which no cache reaches.
+            for raw in islice(self._iter, min(k - len(cache), sys.maxsize)):
                 term = as_fraction(raw)
                 p, q = term.numerator, term.denominator
                 if not 0 < p < q:

@@ -33,8 +33,11 @@ DOMAIN_ERROR = 3
 
 
 def _read_lines(path: str) -> list[str]:
-    """The lines of a file, or of stdin for ``-``, as ASCII: the first other
-    byte raises ValueError naming its line, counted as ``read_lines`` counts."""
+    """The lines of a file, or of stdin for ``-``, as ASCII.
+
+    A line ends at ``\\n``, ``\\r`` or ``\\r\\n`` and nowhere else, so another
+    control byte stays inside its line.  The first byte that is not ASCII
+    raises ValueError naming its line, counted by the same rule."""
     if path == "-":
         # An in-process text stdin (io.StringIO) is encoded back to its bytes.
         data = (sys.stdin.buffer.read() if hasattr(sys.stdin, "buffer")
@@ -43,11 +46,15 @@ def _read_lines(path: str) -> list[str]:
         with open(path, "rb") as handle:
             data = handle.read()
     try:
-        return data.decode("ascii").splitlines()
+        text = data.decode("ascii")
     except UnicodeDecodeError as exc:
-        line = len((data[:exc.start].decode() + ".").splitlines())
+        # bytes.splitlines() breaks at the same three separators.
+        line = len((data[:exc.start] + b".").splitlines())
         raise ValueError(f"line {line}: byte 0x{data[exc.start]:02x} "
                          "is not ASCII") from None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.split("\n")
 
 
 def _read_table(path: str, label: str = "") -> machines.MachineTable:

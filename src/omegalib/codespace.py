@@ -33,11 +33,11 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from operator import itemgetter, lt
+from operator import lt
 from typing import Iterable, Sequence
 
-from .bits import (_BITS, MAX_LENGTH_DIGITS, MAX_TEXT_LENGTH, bit_value,
-                   parse_word, read_lines, validate_bits)
+from .bits import (MAX_LENGTH_DIGITS, MAX_TEXT_LENGTH, bit_value, parse_word,
+                   validate_bits)
 from .errors import InsufficientMass, TargetTooShort
 from .exact import DYADIC_ZERO, Dyadic, pow2_neg
 
@@ -146,47 +146,20 @@ def allocate(state: AllocatorState, n: int) -> str:
 def allocate_all(requests: Iterable[tuple[int, str]]) -> list[tuple[str, str]]:
     """Serve ``(length, output)`` requests in order from a fresh state.
 
-    Returns the ``(codeword, output)`` pairs.  On the first request that
-    cannot be served, raises InsufficientMass carrying that request's
-    zero-based index.  The requests are read once; when each is a tuple,
-    one test of their joined outputs checks that every output is a ``str``
-    over {'0', '1'}.  Only when that test fails or cannot run is each output
-    checked as its request is served, so a bad output still raises before a
-    later refusal, with the same error and message.
+    Returns the ``(codeword, output)`` pairs.  Each output is checked by
+    ``validate_bits`` once its request is served, so the first bad request
+    raises its own error.  On the first request that cannot be served,
+    raises InsufficientMass carrying that request's zero-based index.
     """
-    rows = _read_all(requests, allocate_all)
-    try:
-        checked = ({*map(type, rows)} <= {tuple}
-                   and _BITS.issuperset("".join(map(itemgetter(1), rows))))
-    except (IndexError, TypeError):     # a short tuple, or an output not a str
-        checked = False
     state = new_allocator()
     table: list[tuple[str, str]] = []
-    for i, (n, y) in enumerate(rows):
+    for i, (n, y) in enumerate(requests):
         try:
             word = allocate(state, n)
         except InsufficientMass:
             raise InsufficientMass(n, index=i) from None
-        if not checked:
-            validate_bits(y)
-        table.append((word, y))
+        table.append((word, validate_bits(y)))
     return table
-
-
-def _read_all(items: Iterable, replay) -> list:
-    """``items`` as a list, itself if it is one.  If reading stops with an
-    error part way, ``replay`` runs first on the items read so far, so that
-    a bad earlier item raises its own error, as a loop over ``items`` would
-    have."""
-    if type(items) is list:
-        return items
-    rows: list = []
-    try:
-        rows.extend(items)
-    except Exception:
-        replay(rows)
-        raise
-    return rows
 
 
 @dataclass(frozen=True)
@@ -301,64 +274,51 @@ def _first_gap(ordered: list[str]) -> tuple[Dyadic, Dyadic] | None:
     return covered, Dyadic(1)
 
 
-# The most distinct lines one ``parse_request_lines`` call shares.  A dict of
-# every line of an all-distinct 45,000-line file made the call about 10%
-# slower than parsing each line afresh; at this size it stays about 7%
-# faster, and the 2,605 distinct lines of an ``alloc_stream`` file all fit
-# (best of 25, 2-CPU VM, Python 3.11.7).
+# The most distinct lines one ``parse_request_lines`` call shares.  On an
+# all-distinct 45,000-line file a dict of every line made the call 25-30%
+# slower than parsing each line afresh, and this cap 11-16% slower; the 2,599
+# distinct lines of an ``alloc_stream``-shaped file all fit, and sharing them
+# parses it 7 times faster (best of 25, 2-CPU VM, Python 3.11.7).
 _SHARED_LINES = 1 << 13
 
 
 def parse_request_lines(lines: Iterable[str]) -> list[tuple[int, str]]:
     """Parse ``n<TAB>y`` request lines; ``y`` is ``-`` for the empty output.
 
-    Every error names its line.  A length field of more than
-    ``bits.MAX_LENGTH_DIGITS`` digits, or a length above
-    ``bits.MAX_TEXT_LENGTH``, raises ValueError.
-
-    Each distinct line is parsed once: a dict keyed on the raw line keeps
-    its ``(n, y)`` tuple, and every repeat of the line shares that tuple.
-    The dict stops growing at ``_SHARED_LINES`` lines; a line first seen
-    after that is parsed at each occurrence.  The structure of a line is
-    checked when it is parsed, and the parsed outputs get one alphabet test
-    after the loop.  On any failure the lines are read again by
-    ``read_lines(lines, _request_line)``, so the first bad line raises the
-    same error, with the same message, and a line that is not a ``str``
-    raises its own error.
+    One loop checks each line as it reads it, and every error names its
+    line, counted from 1 with blank lines included.  A length field of more
+    than ``bits.MAX_LENGTH_DIGITS`` digits, or a length above
+    ``bits.MAX_TEXT_LENGTH``, raises ValueError; a line that is not a
+    ``str`` raises its own error.  Each distinct line is parsed once, by
+    ``_request_line``: a dict keyed on the raw line keeps its ``(n, y)``
+    tuple, and every repeat of the line shares that tuple.  The dict stops
+    growing at ``_SHARED_LINES`` lines; a line first seen after that is
+    parsed at each occurrence.
     """
-    rows = _read_all(lines, parse_request_lines)
     requests = []
     append = requests.append
     seen: dict = {}
     get = seen.get
-    words = []
-    keep = words.append
-    try:
-        for raw in rows:
+    blanks = 0
+    for raw in lines:
+        try:
             request = get(raw)
-            if request is None:
-                line = raw.strip()
-                if not line:
-                    continue
-                length, word = line.split("\t")
-                length = length.strip()
-                if not (length.isascii() and length.isdigit()
-                        and len(length) <= MAX_LENGTH_DIGITS):
-                    raise ValueError
-                n = int(length)
-                if n > MAX_TEXT_LENGTH:
-                    raise ValueError
-                if word == "-":
-                    word = ""
-                keep(word)
-                request = (n, word)
-                if len(seen) < _SHARED_LINES:
-                    seen[raw] = request
-            append(request)
-        ok = _BITS.issuperset("".join(words))
-    except Exception:
-        ok = False
-    return requests if ok else read_lines(rows, _request_line)
+        except TypeError:       # an unhashable line: its strip() raises below
+            request = None
+        if request is None:
+            line = raw.strip()
+            if not line:
+                blanks += 1
+                continue
+            try:
+                request = _request_line(line)
+            except ValueError as exc:
+                lineno = len(requests) + blanks + 1
+                raise ValueError(f"line {lineno}: {exc}") from None
+            if len(seen) < _SHARED_LINES:
+                seen[raw] = request
+        append(request)
+    return requests
 
 
 def _request_line(line: str) -> tuple[int, str]:

@@ -1,6 +1,7 @@
 """Dyadic staircases: decomposition identities and machine conversion."""
 
 import random
+import sys
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
@@ -35,6 +36,23 @@ class TestRationalSeq:
         seq = RationalSeq([Fraction(1, 2)])
         with pytest.raises(SequenceExhausted):
             seq.prefix(2)
+
+    @pytest.mark.parametrize("k", [3, sys.maxsize, sys.maxsize + 1, 10 ** 20])
+    @pytest.mark.parametrize("cached", [0, 1, 2])
+    def test_prefix_past_the_terms(self, k, cached):
+        # Past sys.maxsize, where islice refuses the bound, a prefix is
+        # refused like any other that the terms cannot fill.
+        seq = RationalSeq(iter([Fraction(1, 4), Fraction(1, 2)]))
+        seq.prefix(cached)
+        with pytest.raises(SequenceExhausted, match=(
+                f"^sequence ended after 2 terms, {k} were requested$")):
+            seq.prefix(k)
+        assert seq.prefix(2) == (Fraction(1, 4), Fraction(1, 2))
+
+    def test_decompose_past_sys_maxsize(self):
+        seq = RationalSeq([Fraction(1, 4), Fraction(1, 2)])
+        with pytest.raises(SequenceExhausted, match="^sequence ended after 2 terms"):
+            dyadic_decompose(seq, 10 ** 20)
 
     def test_parse_lines(self):
         seq = RationalSeq(parse_rational(line) for line in ["1/3", " 1/2 "])

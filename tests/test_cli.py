@@ -859,7 +859,7 @@ class TestNonAsciiInput:
         (["allocate"], b"1\t-\n\xff\t1\n", "line 2: byte 0xff"),
         (["allocate"], b"\n\n  \n1\t-\n1\t\xc3\xa9\n", "line 5: byte 0xc3"),
         (["allocate"], b"1\t-\r\n\r\n2\t\xd9\xa1\xff\n", "line 3: byte 0xd9"),
-        (["allocate", "--approx"], b"1\t-\r\x0c\xe2\x80\xa8", "line 3: byte 0xe2"),
+        (["allocate", "--approx"], b"1\t-\r\x0c\xe2\x80\xa8", "line 2: byte 0xe2"),
         (["omega"], b"0\t1\n10\t\xd9\xa1\n", "line 2: byte 0xd9"),
         (["omega", "--k", "1"], b"\n\n0\t\x80\n", "line 3: byte 0x80"),
         (["compose", "EMPTY"], b"0\t1\n\n\n\n1\t0\xc2\xa0\n", "line 5: byte 0xc2"),
@@ -944,6 +944,58 @@ class TestNegativeFlags:
         table = write(tmp_path, "u.tsv", "0\t1\n10\t0\n")
         assert _run_quietly(["omega", table, "--k", "-1"]) == (
             3, "", "error: stage -1 outside 0..2\n")
+
+
+class TestFlagsPastTheTerms:
+    """A stage count past the file's terms exits 3 with the number of terms,
+    also past ``sys.maxsize``: the same condition gets one answer."""
+
+    @pytest.mark.parametrize("argv", [
+        ["decompose", "A", "--k"],
+        ["test", "A", "B", "--n", "1", "--depth"],
+        ["dominate", "A", "B", "--m", "1", "--depth"],
+    ])
+    @pytest.mark.parametrize("count", [3, sys.maxsize + 1, 10 ** 20])
+    def test_one_term_too_many_and_far_too_many(self, tmp_path, argv, count):
+        paths = {"A": write(tmp_path, "a.txt", "1/4\n1/2\n"),
+                 "B": write(tmp_path, "b.txt", "1/8\n1/4\n")}
+        argv = [paths.get(x, x) for x in argv] + [str(count)]
+        assert _run_quietly(argv) == (
+            3, "", f"error: sequence ended after 2 terms, {count} were requested\n")
+
+
+class TestRecordSeparators:
+    """A record ends at \\n, \\r or \\r\\n only.  Any other control byte
+    inside a line stays there and makes that line's parse error; at either
+    end of a line it is stripped as whitespace.  Error lines are counted by
+    the same rule."""
+
+    @pytest.mark.parametrize("argv, data, message", [
+        (["allocate", "-"], b"2\t1\x1c3\t0\n",
+         "line 1: expected 'n<TAB>y', got '2\\t1\\x1c3\\t0'"),
+        (["omega", "-"], b"0\t1\x0b10\t0\n",
+         "line 1: expected 'program<TAB>output', got '0\\t1\\x0b10\\t0'"),
+        (["decompose", "-", "--k", "2"], b"1/4\x0c1/2\n",
+         "line 1: not a rational 'p/q' or integer: '1/4\\x0c1/2'"),
+        (["allocate", "-"], b"1\t-\x0b\n5\tx\n", "line 2: not a binary word: 'x'"),
+        (["allocate", "-"], b"1\t-\x1e\x1d\xff\n", "line 1: byte 0xff is not ASCII"),
+    ])
+    def test_one_record_per_line(self, monkeypatch, argv, data, message):
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
+        assert _run_quietly(argv) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("byte", [b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e",
+                                      b"\x1f"])
+    def test_control_byte_inside_and_at_the_ends(self, monkeypatch, byte):
+        expected = (0, "00\t1\n01\t0\n100\t11\nmu\t5/8\n", "")
+        for data in (b"2\t1\n2\t0\r3\t11\r\n",
+                     byte + b"2\t1" + byte + b"\n2\t0" + byte + b"\r3\t11\r\n" + byte):
+            monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
+            assert _run_quietly(["allocate", "-"]) == expected
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(
+            b"2\t1\n\n2\t0" + byte + b"3\t11\n")))
+        code, out, err = _run_quietly(["allocate", "-"])
+        assert (code, out) == (2, "") and err.startswith("error: line 3: ")
 
 
 class TestWriteOnce:

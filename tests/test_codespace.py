@@ -499,6 +499,21 @@ class TestOneParsePerDistinctLine:
         result = self.check(lambda: lines + ["\x0c", "2\t\x0c1"])
         assert result == (ValueError, "line 12: not a binary word: '\\x0c1'")
 
+    def test_bad_line_after_blanks_and_repeats(self):
+        # A line's number counts the requests and the blank lines before it,
+        # repeats and every kind of blank line included.
+        filler = ["", "2\t01", "   ", "\r\n", "2\t01", "\t", "3\t-", "2\t01",
+                  "\x0c", "3\t-", "\r", "2\t01"]
+        count = 0
+        for bad in ("2\t2", "x\t1", "2\t01\t1", "\r\n2\t0x\r\n"):
+            for where in (0, 1, 4, len(filler) // 2, len(filler) - 1, len(filler)):
+                lines = filler[:where] + [bad] + filler[where:] + [bad]
+                result = self.check(lambda: lines)
+                assert result[0] is ValueError
+                assert result[1].startswith(f"line {where + 1}: ")
+                count += 1
+        assert count == 24
+
     def test_length_caps(self):
         at_cap = f"{MAX_TEXT_LENGTH}\t-"
         over_cap = f"{MAX_TEXT_LENGTH + 1}\t-"
@@ -572,9 +587,9 @@ def allocate_all_per_request(requests):
 
 
 class TestAllocateAllDifferential:
-    """``allocate_all`` with one whole-input output check returns what the
-    per-request loop returned, or raises its first exception with the same
-    type, message and refusal index."""
+    """``allocate_all`` returns what the per-request loop, kept literally,
+    returned, or raises its first exception with the same type, message and
+    refusal index."""
 
     def check(self, make_requests):
         new = parsed(lambda: allocate_all(make_requests()))
