@@ -210,10 +210,10 @@ def parse_table_lines(lines: Iterable[str]) -> MachineTable:
     alphabet to ``MachineTable``'s one check of the joined words.  If
     either fails, or a line is not a ``str``, ``bits.read_lines`` checks
     word by word from the first line, so the first bad line raises its own
-    error.  This second path earns its place, unlike the request reader's:
-    every ``omega`` and ``compose`` run reads a table, and reading a 200-line
-    table by ``read_lines`` alone took 219-239 us against 107-110 us (best
-    of 201, 2-CPU VM, Python 3.11.7).
+    error.  The two paths are kept because every ``omega`` and ``compose``
+    run reads a table: reading a 200-line table by ``read_lines`` alone
+    took 219-239 us against 107-110 us (best of 201, 2-CPU VM, Python
+    3.11.7).
     """
     lines = list(lines)
     entries: list[tuple[str, str]] = []

@@ -504,15 +504,12 @@ class TestOneParsePerDistinctLine:
         # repeats and every kind of blank line included.
         filler = ["", "2\t01", "   ", "\r\n", "2\t01", "\t", "3\t-", "2\t01",
                   "\x0c", "3\t-", "\r", "2\t01"]
-        count = 0
         for bad in ("2\t2", "x\t1", "2\t01\t1", "\r\n2\t0x\r\n"):
             for where in (0, 1, 4, len(filler) // 2, len(filler) - 1, len(filler)):
                 lines = filler[:where] + [bad] + filler[where:] + [bad]
                 result = self.check(lambda: lines)
                 assert result[0] is ValueError
                 assert result[1].startswith(f"line {where + 1}: ")
-                count += 1
-        assert count == 24
 
     def test_length_caps(self):
         at_cap = f"{MAX_TEXT_LENGTH}\t-"
