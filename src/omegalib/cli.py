@@ -25,8 +25,7 @@ from typing import Sequence
 from . import ce_real, codespace, machines, solovay, verify
 from .bits import MAX_LEVEL, MAX_RATIONAL_CHARS, format_word, read_lines
 from .errors import InsufficientMass, OmegalibError
-from .exact import (as_fraction, format_rational, measure_of_lengths,
-                    parse_rational)
+from .exact import as_fraction, format_rational, parse_rational
 
 USAGE_ERROR = 2
 DOMAIN_ERROR = 3
@@ -106,17 +105,18 @@ def _exact(value, approx: bool) -> str:
 
 def _cmd_allocate(args) -> int:
     requests = codespace.parse_request_lines(_read_lines(args.requests))
-    try:
-        table = codespace.allocate_all(requests)
-    except InsufficientMass as exc:
-        served = measure_of_lengths(n for n, _ in requests[:exc.index])
-        free = format_rational(1 - as_fraction(served))
-        raise OmegalibError(f"kraft violation at request {exc.index + 1} "
-                            f"(length {exc.length}): free mass {free} "
-                            f"< 2^-{exc.length}") from None
-    lines = [f"{format_word(word)}\t{format_word(output)}" for word, output in table]
-    mass = measure_of_lengths(len(word) for word, _ in table)
-    lines.append(f"mu\t{_exact(mass, args.approx)}")
+    # Outputs were checked when parsed; a refusal leaves the ledger as served.
+    state = codespace.AllocatorState()
+    lines = []
+    for i, (n, y) in enumerate(requests, start=1):
+        try:
+            word = codespace.allocate(state, n)
+        except InsufficientMass:
+            free = format_rational(1 - as_fraction(state.mass_allocated))
+            raise OmegalibError(f"kraft violation at request {i} (length {n}): "
+                                f"free mass {free} < 2^-{n}") from None
+        lines.append(f"{format_word(word)}\t{format_word(y)}")
+    lines.append(f"mu\t{_exact(state.mass_allocated, args.approx)}")
     _write(lines)
     return 0
 

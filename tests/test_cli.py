@@ -5,6 +5,7 @@ import hashlib
 import io
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -16,7 +17,9 @@ from hypothesis import given, settings, strategies as st
 from omegalib import ce_real, cli, codespace, machines, verify
 from omegalib.bits import format_word, parse_word
 from omegalib.cli import MAX_RATIONAL_CHARS, build_parser, main
-from omegalib.exact import Dyadic, format_rational, measure_of_lengths, parse_rational
+from omegalib.errors import InsufficientMass, OmegalibError
+from omegalib.exact import (Dyadic, as_fraction, format_rational, measure_of_lengths,
+                            parse_rational)
 
 
 def write(tmp_path, name, text):
@@ -1079,3 +1082,257 @@ class TestVerify:
         monkeypatch.setattr(verify, "check_decomposition", failing)
         assert run(capsys, argv) == (3, expected, "")
         assert len(calls) == 50
+
+
+# --- ``cli._cmd_allocate`` as it was, before it ran one allocator state:
+# kept literally as the differential reference.
+
+def allocate_through_table(args):
+    """``allocate`` through ``allocate_all``, each mass summed again."""
+    requests = codespace.parse_request_lines(cli._read_lines(args.requests))
+    try:
+        table = codespace.allocate_all(requests)
+    except InsufficientMass as exc:
+        served = measure_of_lengths(n for n, _ in requests[:exc.index])
+        free = format_rational(1 - as_fraction(served))
+        raise OmegalibError(f"kraft violation at request {exc.index + 1} "
+                            f"(length {exc.length}): free mass {free} "
+                            f"< 2^-{exc.length}") from None
+    lines = [f"{format_word(word)}\t{format_word(output)}" for word, output in table]
+    mass = measure_of_lengths(len(word) for word, _ in table)
+    lines.append(f"mu\t{cli._exact(mass, args.approx)}")
+    cli._write(lines)
+    return 0
+
+
+def run_mapped(command, argv):
+    """``command`` on ``argv``'s options, its exceptions mapped to exit codes
+    and ``error:`` lines as ``main`` maps them.  The parser binds
+    ``cli._cmd_allocate`` when it is built, so the reference cannot be
+    patched in; both bodies run here instead."""
+    args = build_parser().parse_args(argv)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = command(args)
+        except OmegalibError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            code = cli.DOMAIN_ERROR
+        except (ValueError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            code = cli.USAGE_ERROR
+    return code, out.getvalue(), err.getvalue()
+
+
+def _request_text(rng, lengths):
+    """Request lines for ``lengths`` with seeded outputs and a few blank lines."""
+    lines = [f"{n}\t{format_word(verify.random_word(rng, 4))}" for n in lengths]
+    for _ in range(rng.randint(0, 2)):
+        lines.insert(rng.randint(0, len(lines)), "")
+    return "".join(line + "\n" for line in lines)
+
+
+def _refused_lengths(rng, position):
+    """Seeded lengths whose first refusal falls at the second request (the
+    first one a fresh state can refuse), in the middle, or last."""
+    if position == "second":
+        lengths = [0]
+    else:
+        lengths = verify.random_kraft_lengths(rng, 12, 10) or [1]
+    free = 1 - sum(Fraction(1, 1 << n) for n in lengths)
+    if free and rng.random() < 0.5:
+        # The binary digits of the free mass use it up exactly.
+        scale = free.denominator.bit_length() - 1
+        bits = free.numerator
+        lengths += [scale - j for j in range(bits.bit_length()) if bits >> j & 1]
+        free = Fraction(0)
+    # Any length m with 2^-m above the free mass is refused.
+    longest = 12
+    if free:
+        longest = 0
+        while Fraction(1, 2 << longest) > free:
+            longest += 1
+    lengths.append(rng.randint(0, longest))
+    if position != "last":
+        lengths += [rng.randint(0, 12) for _ in range(rng.randint(1, 4))]
+    return lengths
+
+
+class TestAllocateLedgerDifferential:
+    """``allocate`` over one allocator state, with ``mu`` and the refusal's
+    free mass read from its ledger, matches the body it replaced: exit code,
+    stdout and stderr, with and without ``--approx``."""
+
+    @staticmethod
+    def request_files():
+        rng = random.Random(22)
+        for _ in range(40):
+            yield _request_text(rng, verify.random_kraft_lengths(rng, 12, 10))
+            for position in ("second", "middle", "last"):
+                yield _request_text(rng, _refused_lengths(rng, position))
+        for n in (600, 2_000, 16_384):
+            yield f"{n}\t01\n1\t1\n"              # served: mu past the digit limit
+            yield f"{n}\t01\n1\t1\n1\t0\n2\t-\n"  # refused: free mass 1/2 - 2^-n
+        for n in (600, 2_000):
+            # A deep request, then its spine's siblings exactly, then one more.
+            yield "".join(f"{k}\t-\n" for k in (n, *range(1, n + 1), 3))
+        yield from ["", "\n \n\t\n", "0\t1\n", "0\t-\n1\t1\n", "1\t-\n0\t1\n2\t-\n",
+                    "3\t01\n" * 9, "2\t-\n" * 4, "2\t-\n" * 4 + "\n0\t-\n"]
+
+    @pytest.mark.parametrize("approx", [False, True])
+    def test_matches_the_table_body(self, tmp_path, no_int_digit_limit, approx):
+        path = tmp_path / "req.tsv"
+        codes = set()
+        for text in self.request_files():
+            path.write_text(text, encoding="ascii")
+            argv = ["allocate", str(path)] + (["--approx"] if approx else [])
+            result = run_mapped(cli._cmd_allocate, argv)
+            assert result == run_mapped(allocate_through_table, argv), text[:200]
+            assert _run_quietly(argv) == result
+            codes.add(result[0])
+        assert codes == {0, 3}
+
+    def test_refusal_positions(self):
+        rng = random.Random(22)
+        for position in ("second", "middle", "last") * 20:
+            lengths = _refused_lengths(rng, position)
+            with pytest.raises(InsufficientMass) as exc:
+                codespace.allocate_all((n, "") for n in lengths)
+            at = exc.value.index + 1
+            assert (at == 2 if position == "second" else
+                    at == len(lengths) if position == "last" else at < len(lengths))
+
+    def test_outputs_are_checked_once(self, tmp_path, monkeypatch):
+        # parse_request_lines checks each output through bits.parse_word; the
+        # allocation loop checks none again.
+        calls = []
+        real = codespace.validate_bits
+
+        def counting(word):
+            calls.append(word)
+            return real(word)
+        monkeypatch.setattr(codespace, "validate_bits", counting)
+        requests = write(tmp_path, "req.tsv", "3\t01\n3\t-\n2\t1\n4\t0\n4\t0\n")
+        assert _run_quietly(["allocate", requests])[0] == 0
+        assert calls == []
+
+
+# --- The CLI contract as one seeded sweep over every subcommand: valid
+# seeded files, some mutated byte by byte, and flags at and past the edges.
+
+_SWEEP_BYTES = [b"\n", b"\r", b"\r\n", b"\v", b"\f", b"\x1c", b"\x1d", b"\x1e",
+                b"\x1f", b"\t", b"-", b"/", b"+", b"\xe9", b"\x00"]
+_SWEEP_FLAGS = [0, 1, 1, 2, 3, 5, -1, -4, sys.maxsize + 1, 10 ** 20]
+_LINE_NUMBER = re.compile(r"\bline (\d+): ")
+_REFUSAL = re.compile(r"error: kraft violation at request (\d+) \(length (\d+)\): "
+                      r"free mass (\d+)/(\d+) < 2\^-(\d+)\n")
+
+
+def _sweep_bytes(rng, lines):
+    """``lines`` joined by one of the three record separators, then mutated
+    at up to three places by inserting, replacing or deleting a byte."""
+    sep = rng.choice(("\n", "\r\n", "\r"))
+    data = (sep.join(lines) + rng.choice(("", sep))).encode("ascii")
+    for _ in range(rng.choice((0, 0, 1, 1, 2, 3))):
+        i = rng.randint(0, len(data))
+        kind = rng.randrange(3)         # 0 inserts, 1 replaces, 2 deletes
+        if kind == 2:
+            data = data[:i] + data[i + 1:]
+        else:
+            data = data[:i] + rng.choice(_SWEEP_BYTES) + data[i + kind:]
+    return data
+
+
+def _sweep_files(rng, command):
+    """The bytes of the one or two files ``command`` reads, from valid
+    seeded files: requests with an overflowing tail now and then, tables
+    built by the allocator, and increasing rationals."""
+    if command == "allocate":
+        lengths = verify.random_kraft_lengths(rng, 10, 8)
+        lengths += [rng.randint(0, 8) for _ in range(rng.choice((0, 0, 1, 3)))]
+        return [_sweep_bytes(rng, [f"{n}\t{format_word(verify.random_word(rng, 3))}"
+                                   for n in lengths])]
+    if command in ("omega", "compose"):
+        return [_sweep_bytes(rng, machines.format_table_lines(
+                    verify.random_table(rng, 8, 6, nonempty=rng.random() < 0.7)))
+                for _ in range(1 if command == "omega" else 2)]
+    count = rng.randint(1, 6)
+    return [_sweep_bytes(rng, [format_rational(x) for x in
+                               verify.random_increasing_rationals(
+                                   rng, count if rng.random() < 0.8 else count + 1)])
+            for _ in range(1 if command == "decompose" else 2)]
+
+
+def _sweep_argv(rng, command, paths):
+    def flag():
+        return rng.choice(_SWEEP_FLAGS)
+    approx = ["--approx"] if rng.random() < 0.3 else []
+    if command == "allocate":
+        return ["allocate", *paths, *approx]
+    if command == "decompose":
+        return ["decompose", *paths, f"--k={flag()}", *approx]
+    if command == "omega":
+        return ["omega", *paths, *([f"--k={flag()}"] if rng.random() < 0.4 else []),
+                *approx]
+    if command == "compose":
+        return ["compose", *paths]
+    if command == "dominate":
+        if rng.random() < 0.5:
+            return ["dominate", *paths, f"--c={flag()}"]
+        return ["dominate", *paths, f"--m={flag()}",
+                *([f"--depth={flag()}"] if rng.random() < 0.5 else [])]
+    return ["test", *paths, f"--n={flag()}", f"--depth={flag()}"]
+
+
+class TestCliSweep:
+    """Every subcommand on seeded inputs: the exit code is 0, 2 or 3 and
+    nothing else leaves ``main``; a failing command writes nothing to
+    stdout; an error's line number is within the input's records (by the
+    ``\\n``, ``\\r``, ``\\r\\n`` rule) plus one; ``allocate`` serves at most
+    one request per record, its table read back by ``omega`` ends at ``mu``,
+    and a refusal's free mass is one less the mass served before it and
+    below ``2^-n``; ``compose`` writes a valid table."""
+
+    COMMANDS = ["allocate", "decompose", "omega", "compose", "dominate", "test"]
+
+    def check(self, directory, argv, files):
+        code, out, err = result = _run_quietly(argv)
+        assert code in (0, 2, 3), (argv, files, result)
+        records = max(len(data.splitlines()) for data in files)
+        if code != 0:
+            assert out == "", (argv, files, result)
+        for number in _LINE_NUMBER.findall(err):
+            assert int(number) <= records + 1, (argv, files, result)
+        if argv[0] == "allocate" and code == 0:
+            *rows, mu = out.splitlines()
+            assert len(rows) <= records and mu.startswith("mu\t")
+            table = directory / "served.tsv"
+            table.write_text("".join(row + "\n" for row in rows), encoding="ascii")
+            code, sums, _ = _run_quietly(["omega", str(table), *argv[2:]])
+            last = (sums.splitlines()[-1].split("\t", 1)[1] if rows
+                    else cli._exact(Fraction(0), "--approx" in argv))
+            assert (code, last) == (0, mu.split("\t", 1)[1]), (argv, files, out)
+        if argv[0] == "allocate" and code == 3:
+            i, n, p, q, shown = map(int, _REFUSAL.fullmatch(err).groups())
+            requests = codespace.parse_request_lines(cli._read_lines(argv[1]))
+            assert i <= records and n == shown == requests[i - 1][0]
+            served = sum(Fraction(1, 1 << m) for m, _ in requests[:i - 1])
+            assert Fraction(p, q) == 1 - served < Fraction(1, 1 << n)
+        if argv[0] == "compose" and code == 0:
+            machines.parse_table_lines(out.splitlines()).validate()
+        return code
+
+    def test_seeded_sweep(self, tmp_path):
+        rng = random.Random(9)
+        reached = {command: set() for command in self.COMMANDS}
+        for _ in range(1000):
+            for command in self.COMMANDS:
+                files = _sweep_files(rng, command)
+                paths = []
+                for k, data in enumerate(files):
+                    path = tmp_path / f"in{k}.txt"
+                    path.write_bytes(data)
+                    paths.append(str(path))
+                argv = _sweep_argv(rng, command, paths)
+                reached[command].add(self.check(tmp_path, argv, files))
+        assert reached == {command: {0, 2, 3} for command in self.COMMANDS}
