@@ -167,11 +167,25 @@ def check_golden_cases() -> list[str]:
     expect("incomparable_ref", kc_oracle.incomparable_ref("00", ["10", "111"]), True)
     expect("lengths_match_ref",
            kc_oracle.lengths_match_ref(["00", "10", "111"], [2, 2, 3]), True)
+    # check_differential tests the oracle's output with prefix_free; the two
+    # predicates must agree on repeats, the empty word and either order.
+    for words in ([], ["01", "01"], ["", "1"], ["0", "01"], ["01", "0"],
+                  ["00", "01", "1"]):
+        expect(f"prefix_free({words}) against prefixfree_ref",
+               prefix_free(words), kc_oracle.prefixfree_ref(words))
     return failures
 
 
 def check_differential(lengths: Sequence[int]) -> list[str]:
-    """Imperative allocator vs recursive reference on one length sequence."""
+    """Imperative allocator vs recursive reference on one length sequence.
+
+    ``kc_ref`` alone produces the oracle's codewords.  Their prefix-freeness
+    is tested with ``prefix_free``, which sorts once and compares neighbours,
+    instead of the oracle's pairwise ``prefixfree_ref``.  The answer is the
+    same on every list: a word that is a prefix of another sorts before it,
+    and every word sorted between the two extends it too, so the pair shows
+    up as neighbours; a repeated word sorts next to its duplicate.
+    """
     failures = []
     state = codespace.new_allocator()
     words = [codespace.allocate(state, n) for n in lengths]
@@ -179,13 +193,14 @@ def check_differential(lengths: Sequence[int]) -> list[str]:
     oracle_out = kc_oracle.kc_ref(list(reversed(lengths)))
     if list(reversed(oracle_out)) != words:
         failures.append(f"allocation order differs for {lengths}")
-    if not kc_oracle.prefixfree_ref(oracle_out):
+    if not prefix_free(oracle_out):
         failures.append(f"oracle output not prefix-free for {lengths}")
     if not kc_oracle.lengths_match_ref(oracle_out, list(reversed(lengths))):
         failures.append(f"oracle lengths differ for {lengths}")
-    if state.mass_allocated != measure_of_lengths(lengths):
+    mass = measure_of_lengths(lengths)
+    if state.mass_allocated != mass:
         failures.append(f"mass ledger off for {lengths}")
-    if measure_of_lengths(len(w) for w in words) != measure_of_lengths(lengths):
+    if measure_of_lengths(map(len, words)) != mass:
         failures.append(f"codeword mass off for {lengths}")
     return failures
 

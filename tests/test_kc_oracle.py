@@ -1,14 +1,19 @@
 """Recursive reference allocator and its predicates."""
 
+import random
+from itertools import product
+
 import pytest
 from hypothesis import given, strategies as st
 
+from omegalib.bits import prefix_free
 from omegalib.codespace import allocate_all
 from omegalib.exact import measure_of_lengths
 from omegalib.kc_oracle import (extend_ref, extends_ref, incomparable_ref,
                                 kc_ref, kcloop_ref, kcstep_ref,
                                 lengths_match_ref, prefixes_ref,
                                 prefixfree_ref, strictlysorted_ref)
+from omegalib.verify import random_kraft_lengths
 
 length_lists = st.lists(st.integers(min_value=0, max_value=8), max_size=10)
 
@@ -114,3 +119,35 @@ class TestAgainstImperative:
     def test_free_pool_stays_strictly_sorted(self, lengths):
         _, free = kcloop_ref(lengths, ([], [""]))
         assert strictlysorted_ref(free)
+
+
+class TestPrefixFreeAgreesWithReference:
+    """``check_differential`` tests the oracle's output with the sorted
+    neighbour test ``bits.prefix_free``; it must answer as ``prefixfree_ref``
+    does, repeats and the empty word included."""
+
+    WORDS = ["".join(bits) for n in range(4) for bits in product("01", repeat=n)]
+
+    def test_every_short_list(self):
+        assert len(self.WORDS) == 15
+        checked = 0
+        for count in range(5):
+            for words in product(self.WORDS, repeat=count):
+                assert prefix_free(words) == prefixfree_ref(words), words
+                checked += 1
+        assert checked == 54_241
+
+    def test_oracle_outputs_of_the_sweep_family(self, kraft_orderings):
+        # Criterion 2's family, then the same runs with more requests on
+        # top: past the unit mass bound kc_ref skips requests silently.
+        rng = random.Random(23)
+        family = [seq for seq in kraft_orderings(rng) if rng.random() < 0.05]
+        family += [random_kraft_lengths(rng, 50, 16) for _ in range(300)]
+        overfull = [seq + [rng.randint(0, 6) for _ in range(rng.randint(1, 8))]
+                    for seq in family[::3]]
+        skipped = 0
+        for lengths in family + overfull:
+            out = kc_ref(lengths)
+            skipped += len(out) < len(lengths)
+            assert prefixfree_ref(out) and prefix_free(out), lengths
+        assert skipped > 100

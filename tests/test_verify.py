@@ -2,8 +2,8 @@
 list-filtering draws and the recursive multiset walk they replaced, and
 digests that pin the families the acceptance sweeps and the benchmark use.
 Also the failure messages of ``check_invariants_along``, its split audit
-against the full check after every request, and the checks the suite runner
-makes."""
+against the full check after every request, the checks the suite runner
+makes, and every failure message of the two oracle checks."""
 
 import hashlib
 import random
@@ -581,3 +581,98 @@ class TestStageChecksDifferential:
             assert ours == ref_check_tail_bound(t), t
             levels.update(int(line.split("level ")[1].split(":")[0]) for line in ours)
         assert levels == set(range(1, 9))
+
+
+class TestOracleCheckFailures:
+    """Every failure message of ``check_differential`` and
+    ``check_extension_split``, made to appear by a patched allocator or a
+    patched oracle, each with the whole failure list it comes in."""
+
+    @staticmethod
+    def issue(monkeypatch, words):
+        """``allocate`` serves the real request, so the ledger stays honest,
+        but hands out the next of ``words``."""
+        real, handed = codespace.allocate, iter(words)
+
+        def allocate(state, n):
+            real(state, n)
+            return next(handed)
+        monkeypatch.setattr(verify.codespace, "allocate", allocate)
+
+    @staticmethod
+    def oracle(monkeypatch, *outputs):
+        """``kc_ref`` returns ``outputs`` in turn, newest word first."""
+        handed = iter(outputs)
+        monkeypatch.setattr(verify.kc_oracle, "kc_ref", lambda lengths: next(handed))
+
+    def test_allocation_order_differs(self, monkeypatch):
+        self.oracle(monkeypatch, ["0", "1"])
+        assert verify.check_differential([1, 1]) == [
+            "allocation order differs for [1, 1]"]
+
+    @pytest.mark.parametrize("lengths, words", [
+        ([1, 1], ["0", "0"]),           # a repeated word
+        ([1, 2], ["0", "01"]),          # a proper prefix, issued first
+        ([2, 1], ["01", "0"]),          # a proper prefix, issued last
+    ])
+    def test_oracle_output_not_prefix_free(self, monkeypatch, lengths, words):
+        self.issue(monkeypatch, words)
+        self.oracle(monkeypatch, words[::-1])
+        assert verify.check_differential(lengths) == [
+            f"oracle output not prefix-free for {lengths}"]
+
+    def test_empty_word_beside_another(self, monkeypatch):
+        # Lengths 0 and 1 together overflow code space, so the empty word
+        # comes with a length that differs from its request.
+        self.issue(monkeypatch, ["", "1"])
+        self.oracle(monkeypatch, ["1", ""])
+        assert verify.check_differential([1, 1]) == [
+            "oracle output not prefix-free for [1, 1]",
+            "oracle lengths differ for [1, 1]",
+            "codeword mass off for [1, 1]"]
+
+    def test_oracle_lengths_differ(self, monkeypatch):
+        # The same mass in another order: only the positions disagree.
+        self.issue(monkeypatch, ["00", "1", "01"])
+        self.oracle(monkeypatch, ["01", "1", "00"])
+        assert verify.check_differential([1, 2, 2]) == [
+            "oracle lengths differ for [1, 2, 2]"]
+
+    def test_mass_ledger_off(self, monkeypatch):
+        # The words come from a second allocator; the checked one stays empty.
+        real, other = codespace.allocate, codespace.new_allocator()
+        monkeypatch.setattr(verify.codespace, "allocate",
+                            lambda state, n: real(other, n))
+        assert verify.check_differential([1, 2]) == ["mass ledger off for [1, 2]"]
+
+    def test_codeword_mass_off(self, monkeypatch):
+        # Word lengths that match their requests position by position carry
+        # the requested mass, so a mass that is off comes with another failure.
+        self.issue(monkeypatch, ["00"])
+        assert verify.check_differential([1]) == [
+            "allocation order differs for [1]",
+            "codeword mass off for [1]"]
+
+    def test_prefix_of_run_changed(self, monkeypatch):
+        # Only the shorter run's first codeword is lengthened.
+        real, calls = codespace.allocate, []
+
+        def allocate(state, n):
+            calls.append(n)
+            word = real(state, n)
+            return word + "1" if len(calls) == 1 else word
+        monkeypatch.setattr(verify.codespace, "allocate", allocate)
+        assert verify.check_extension_split([1], [1]) == [
+            "prefix of run changed: [1] ++ [1]"]
+
+    def test_oracle_runs_do_not_extend(self, monkeypatch):
+        # kc_ref([1]) is ['0']; kc_ref([1, 1]) is ['1', '0'], here reversed.
+        self.oracle(monkeypatch, ["0"], ["0", "1"])
+        assert verify.check_extension_split([1], [1]) == [
+            "oracle runs do not extend: [1] / [1]"]
+
+    def test_unpatched_runs_pass(self):
+        assert verify.kc_oracle.kc_ref([1, 1]) == ["1", "0"]
+        assert verify.check_differential([1, 1]) == []
+        assert verify.check_differential([1, 2, 2]) == []
+        assert verify.check_extension_split([1], [1]) == []
