@@ -3,8 +3,9 @@
 Words are plain ``str`` over the alphabet {'0', '1'}; the empty word is
 legal.  The canonical order used everywhere is length-then-lexicographic,
 with the empty word least.  In text formats an empty word is written ``-``;
-the caps on one input are the ``MAX_*`` constants below, and ``read_lines``
-is the one line loop of the request, table and rational readers.
+the caps on one input are the ``MAX_*`` constants below.  ``read_lines``
+is the line loop of the rational reader and of the table reader's error
+path; requests have their own one-pass loop, ``parse_request_lines``.
 """
 
 from __future__ import annotations

@@ -750,7 +750,7 @@ class TestReaderDifferential:
 
 
 class TestLineReaderContract:
-    """The request, table and rational readers share one line loop: a blank
+    """The request, table and rational readers follow one line rule: a blank
     line still counts, a padded line is stripped, the first bad line wins,
     and an error that is not a ValueError carries no line number."""
 

@@ -13,7 +13,7 @@ from typing import Iterator
 
 import pytest
 
-from omegalib import codespace, machines, solovay, verify
+from omegalib import ce_real, codespace, machines, solovay, verify
 from omegalib.exact import Dyadic, measure_of_lengths, pow2_neg
 from omegalib.verify import (check_invariants_along, enumerate_kraft_multisets,
                              random_gamma_lengths, random_kraft_lengths)
@@ -305,11 +305,13 @@ class TestCheckInvariantsAlongDifferential:
         for lengths in sample:
             assert self.both(lengths) == [], lengths
 
-    @pytest.mark.parametrize("lengths", [
+    EDGE_SEQUENCES = [
         [], [0], [1, 1], [0, 0], [1, 1, 1], [2, 1, 2, 3, 3],
         [2, -1, 3], [-1], [3, 2, -2],
         [2, 1.5], [1.5], [2.0, 1], [2, "3"], ["1"],
-    ])
+    ]
+
+    @pytest.mark.parametrize("lengths", EDGE_SEQUENCES)
     def test_edge_sequences(self, lengths):
         self.both(lengths)
 
@@ -346,13 +348,88 @@ class TestCheckInvariantsAlongDifferential:
         assert run(check_invariants_along) == run(ref_check_invariants_along) == [
             "['remaining_requests_fit'] after request 1 of [2, 3, 2, 2, 3]"]
 
-    def test_passing_run_checks_the_union_once(self, monkeypatch):
-        real, calls = codespace.check_invariants, []
+    @staticmethod
+    def count_full_checks(monkeypatch) -> list[int]:
+        """Per full check, the number of requests still to come."""
+        real, left = codespace.check_invariants, []
         monkeypatch.setattr(codespace, "check_invariants",
-                            lambda *args: calls.append(args) or real(*args))
+                            lambda state, rest: left.append(len(rest)) or real(state, rest))
+        return left
+
+    def test_passing_run_makes_no_full_check(self, monkeypatch):
+        left = self.count_full_checks(monkeypatch)
         lengths = [5, 3, 7, 4, 6, 8, 5, 7, 6, 8, 9, 4, 7, 8, 6, 9, 5, 8, 7, 9]
         assert check_invariants_along(lengths) == []
-        assert len(calls) == 1
+        assert left == []
+
+    @pytest.mark.parametrize("step", [0, 4], ids=["first", "middle"])
+    @pytest.mark.parametrize("damage", list(DAMAGES))
+    def test_full_check_from_the_first_refused_step(self, monkeypatch, damage, step):
+        real, calls = codespace.allocate, []
+
+        def damaged(state, n):
+            word = real(state, n)
+            if len(calls) == step:
+                DAMAGES[damage](state, word)
+            calls.append(n)
+            return word
+        monkeypatch.setattr(codespace, "allocate", damaged)
+        left = self.count_full_checks(monkeypatch)
+        ours = outcome(check_invariants_along, self.LENGTHS)
+        # One full check at the damaged step and at each later one.
+        assert left == list(reversed(range(len(self.LENGTHS) - step)))
+        calls.clear()
+        assert ours == outcome(ref_check_invariants_along, self.LENGTHS)
+
+    # Fresh states that new_allocator does not make.  The audit assumes the
+    # pool [""] with nothing issued; it accepts a step only if the state
+    # after it is that pool split once, so the outcome stays the full check's.
+    BROKEN_FRESH = {
+        "empty pool": lambda: codespace.AllocatorState(free=[]),
+        "pool 0": lambda: codespace.AllocatorState(free=["0"]),
+        "complete code 0, 1": lambda: codespace.AllocatorState(free=["0", "1"]),
+        "one word issued": lambda: codespace.AllocatorState(
+            free=["1"], allocated=["0"], mass_allocated=pow2_neg(1)),
+        "nonzero ledger": lambda: codespace.AllocatorState(mass_allocated=pow2_neg(2)),
+    }
+
+    # [3, 2] fits in half of code space: each pool but the empty one serves it.
+    @pytest.mark.parametrize("lengths", [LENGTHS, [3, 2], *EDGE_SEQUENCES])
+    @pytest.mark.parametrize("fresh", list(BROKEN_FRESH))
+    def test_the_fresh_state_is_not_trusted(self, monkeypatch, fresh, lengths):
+        monkeypatch.setattr(codespace, "new_allocator", self.BROKEN_FRESH[fresh])
+        self.both(lengths)
+
+    def test_a_split_complete_code_is_proved(self, monkeypatch):
+        # The request of length 6 splits 1 of the complete code {0, 1}: the
+        # audit sees the pool [""] split once, a complete code, and proves
+        # every step without a full check.
+        monkeypatch.setattr(codespace, "new_allocator",
+                            self.BROKEN_FRESH["complete code 0, 1"])
+        left = self.count_full_checks(monkeypatch)
+        assert check_invariants_along(self.LENGTHS) == []
+        assert left == []
+
+
+class TestCheckDecomposition:
+    """``dyadic_decompose`` verifies its staircase, and ``to_machine``
+    decomposes again; the check adds no third verification of its own."""
+
+    TERMS = [Fraction(1, 3), Fraction(1, 2), Fraction(5, 7)]
+
+    def test_verifies_once_per_decomposition(self, monkeypatch):
+        real, calls = ce_real.DyadicDecomposition.verify, []
+        monkeypatch.setattr(ce_real.DyadicDecomposition, "verify",
+                            lambda self, terms: calls.append(terms) or real(self, terms))
+        assert verify.check_decomposition(self.TERMS) == []
+        assert len(calls) == 2
+
+    def test_a_broken_staircase_is_reported(self, monkeypatch):
+        def broken(self, terms):
+            raise ValueError("step 1: recurrence broken")
+        monkeypatch.setattr(ce_real.DyadicDecomposition, "verify", broken)
+        assert verify.check_decomposition(self.TERMS) == [
+            f"decomposition failed on {self.TERMS}...: step 1: recurrence broken"]
 
 
 class TestRunner:
