@@ -136,7 +136,9 @@ def _cmd_omega(args) -> int:
     if args.k is not None:
         table.prefix(args.k)
         stages = (args.k,)
-    # Each partial sum is written in lowest terms from its two integers.
+    # Each partial sum is written in lowest terms from its two integers.  Going
+    # through _exact(Dyadic(sums[k], scale), ...) writes the same bytes, but
+    # measured 1.4-2x slower per 200-entry table.
     sums, scale = machines.omega_sums(table)
     unit = 1 << scale
     lines = []

@@ -32,7 +32,7 @@ witness: the first overlapping pair, or else the first gap in code space.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from operator import lt
 from typing import Iterable, Sequence
 
@@ -180,15 +180,10 @@ class InvariantReport:
 
     @property
     def ok(self) -> bool:
-        return False not in (self.union_prefix_free, self.union_measure_is_one,
-                             self.mass_matches_ledger, self.remaining_requests_fit,
-                             self.free_lengths_distinct)
+        return not self.failures()
 
     def failures(self) -> list[str]:
-        return [name for name in ("union_prefix_free", "union_measure_is_one",
-                                  "mass_matches_ledger", "remaining_requests_fit",
-                                  "free_lengths_distinct")
-                if getattr(self, name) is False]
+        return [f.name for f in fields(self) if getattr(self, f.name) is False]
 
 
 # Reports are immutable and a passing one names no witness, so the two

@@ -20,7 +20,7 @@ walk with constant work per multiset.
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, repeat, zip_longest
@@ -34,7 +34,6 @@ from .errors import OmegalibError
 from .exact import measure_of_lengths, pow2_neg
 
 DEFAULT_SEED = 1729
-TAIL_MAX_LEVEL = 8
 TEST_MAX_MARGIN = 4
 
 
@@ -89,11 +88,10 @@ def random_table(rng: random.Random, max_entries: int, max_len: int,
     return machines.MachineTable(tuple(pairs))
 
 
-def random_increasing_rationals(rng: random.Random, count: int,
-                                step_ceiling: int = 1000) -> list[Fraction]:
+def random_increasing_rationals(rng: random.Random, count: int) -> list[Fraction]:
     """Strictly increasing rationals in (0, 1), exact by construction."""
-    steps = [rng.randint(1, step_ceiling) for _ in range(count)]
-    denominator = sum(steps) + rng.randint(1, step_ceiling)
+    steps = [rng.randint(1, 1000) for _ in range(count)]
+    denominator = sum(steps) + rng.randint(1, 1000)
     running = 0
     terms = []
     for s in steps:
@@ -435,19 +433,17 @@ def check_transform(table: machines.MachineTable) -> list[str]:
 
 
 def check_tail_bound(table: machines.MachineTable) -> list[str]:
-    """Once the halting mass is within ``2**-n`` of its limit, all later
-    programs have length at least ``n``."""
+    """Chaitin's lemma at every ``n`` up to the longest program: from the
+    first stage ``t`` whose mass reaches the total cut to ``n`` bits, no later
+    program has ``n`` bits or fewer (it would push the mass above the total)."""
     failures = []
     sums, scale = machines.omega_sums(table)
-    # At the scale ``top`` every 2**-n with n <= TAIL_MAX_LEVEL is an integer.
-    top = max(scale, TAIL_MAX_LEVEL)
-    for t, partial in enumerate(sums):
-        gap = (sums[-1] - partial) << (top - scale)
-        for n in range(TAIL_MAX_LEVEL + 1):
-            if gap <= 1 << (top - n):
-                short = [p for p, _ in table.entries[t:] if len(p) < n]
-                if short:
-                    failures.append(f"stage {t}, level {n}: short tail {short}")
+    for n in range(scale + 1):
+        cut = scale - n
+        t = bisect_left(sums, sums[-1] >> cut << cut)
+        short = [p for p, _ in table.entries[t:] if len(p) <= n]
+        if short:
+            failures.append(f"stage {t}, level {n}: short tail {short}")
     return failures
 
 

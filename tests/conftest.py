@@ -1,6 +1,8 @@
 """Shared fixtures."""
 
 import sys
+from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 
@@ -50,3 +52,18 @@ def _kraft_orderings(rng):
 def kraft_orderings():
     """The sweep family's generator, called with the test's own ``rng``."""
     return _kraft_orderings
+
+
+def _increasing_rationals(rng, count, ceiling):
+    """``verify.random_increasing_rationals`` with steps of 1..``ceiling``: at
+    1000 it makes the same draws, and a small ceiling gives small
+    denominators."""
+    steps = [rng.randint(1, ceiling) for _ in range(count)]
+    denominator = sum(steps) + rng.randint(1, ceiling)
+    return [Fraction(running, denominator) for running in accumulate(steps)]
+
+
+@pytest.fixture
+def increasing_rationals():
+    """The increasing-rationals draw with its step ceiling as an argument."""
+    return _increasing_rationals

@@ -13,7 +13,6 @@ from omegalib.ce_real import (DyadicDecomposition, RationalSeq,
 from omegalib.errors import InvalidSequence, SequenceExhausted
 from omegalib.exact import (DYADIC_ZERO, Dyadic, as_fraction, ceil_neg_log2,
                             parse_rational, pow2_neg)
-from omegalib.verify import random_increasing_rationals
 
 
 class TestRationalSeq:
@@ -247,18 +246,21 @@ def wide_increasing_rationals(rng, count):
             for c, d in zip(cuts, dens)]
 
 
-def differential_families():
-    for ceiling in (3, 1000):
-        rng = random.Random(ceiling)
-        for _ in range(150):
-            yield random_increasing_rationals(rng, rng.randint(1, 60), ceiling)
-    rng = random.Random(200)
-    for _ in range(60):
-        yield wide_increasing_rationals(rng, rng.randint(1, 30))
+@pytest.fixture
+def differential_families(increasing_rationals):
+    def families():
+        for ceiling in (3, 1000):
+            rng = random.Random(ceiling)
+            for _ in range(150):
+                yield increasing_rationals(rng, rng.randint(1, 60), ceiling)
+        rng = random.Random(200)
+        for _ in range(60):
+            yield wide_increasing_rationals(rng, rng.randint(1, 30))
+    return families
 
 
 class TestFractionDifferential:
-    def test_prefix_and_decompose_match(self):
+    def test_prefix_and_decompose_match(self, differential_families):
         for terms in differential_families():
             k = len(terms)
             assert RationalSeq(terms).prefix(k) == FractionRationalSeq(terms).prefix(k)
@@ -280,7 +282,7 @@ class TestFractionDifferential:
             assert new == old
         assert new[0] is InvalidSequence
 
-    def test_random_corruptions_fail_alike(self):
+    def test_random_corruptions_fail_alike(self, differential_families):
         rng = random.Random(7)
         seen = set()
         for terms in differential_families():
@@ -326,7 +328,7 @@ class TestPrefixDifferential:
             results.append([outcome(seq.prefix, k) for k in ks])
         return results
 
-    def test_families_called_repeatedly(self):
+    def test_families_called_repeatedly(self, differential_families):
         rng = random.Random(13)
         for terms in differential_families():
             n = len(terms)
@@ -334,7 +336,7 @@ class TestPrefixDifferential:
             new, old = self.calls(terms, ks, lazy=rng.random() < 0.5)
             assert new == old
 
-    def test_bad_terms_then_resume(self):
+    def test_bad_terms_then_resume(self, differential_families):
         rng = random.Random(14)
         bad = [Fraction(0), Fraction(1), Fraction(-1, 3), Fraction(5, 4), 0, 1,
                Dyadic(1, 1), Dyadic(0), "1/2", 0.5, None]

@@ -16,7 +16,7 @@ from omegalib.solovay import (DominationWitness, build_test,
                               check_domination, extract_witness,
                               interleave_requests, omega_rep_compose)
 from omegalib.verify import (check_test_family, random_gamma_lengths,
-                             random_increasing_rationals, random_table)
+                             random_table)
 
 A_TERMS = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
 B_TERMS = (Fraction(1, 8), Fraction(1, 4), Fraction(3, 8))
@@ -237,12 +237,12 @@ def outcome(call, *args):
 
 class TestBuildTestDifferential:
     @pytest.mark.parametrize("step_ceiling", [3, 1000])
-    def test_matches_any_scan(self, step_ceiling):
+    def test_matches_any_scan(self, increasing_rationals, step_ceiling):
         rng = random.Random(step_ceiling)
         for _ in range(400):
             depth = rng.randint(1, 60)
-            a = random_increasing_rationals(rng, depth, step_ceiling)
-            b = random_increasing_rationals(rng, depth, step_ceiling)
+            a = increasing_rationals(rng, depth, step_ceiling)
+            b = increasing_rationals(rng, depth, step_ceiling)
             for level in range(6):
                 stage = build_test(seq(a), seq(b), level, depth)
                 assert stage == build_test_fraction(seq(a), seq(b), level, depth)

@@ -136,6 +136,14 @@ def test_enumerate_is_lazy_on_a_huge_family():
     assert got[:3] == [(), (0,), (1,)]
 
 
+def test_increasing_rationals_copy(increasing_rationals):
+    """The tests' copy with a step ceiling makes the library's draws at 1000."""
+    ours, library = random.Random(5), random.Random(5)
+    for count in range(40):
+        assert increasing_rationals(ours, count, 1000) == \
+            verify.random_increasing_rationals(library, count)
+
+
 # ---------------------------------------------------------------------------
 # digests of the seeded families (computed with the reference bodies)
 # ---------------------------------------------------------------------------
@@ -503,7 +511,8 @@ class TestRunner:
 
 
 # ---------------------------------------------------------------------------
-# stage checks, kept literally from before they read ``omega_sums``
+# stage checks, kept literally from before they read ``omega_sums``; the tail
+# check as the 2**-n band it was before it became Chaitin's lemma
 # ---------------------------------------------------------------------------
 
 def ref_check_omega_composition(machine, c, gamma_lengths):
@@ -538,12 +547,12 @@ def ref_check_omega_composition(machine, c, gamma_lengths):
 
 def ref_check_tail_bound(table):
     """Once the halting mass is within ``2**-n`` of its limit, all later
-    programs have length at least ``n``."""
+    programs have length at least ``n``, for ``n`` from 0 to 8."""
     failures = []
     total = table.domain_measure()
     for t in range(len(table) + 1):
         partial = machines.omega_approx(table, t)
-        for n in range(verify.TAIL_MAX_LEVEL + 1):
+        for n in range(8 + 1):
             if partial.as_fraction() >= total.as_fraction() - pow2_neg(n).as_fraction():
                 short = [p for p, _ in table.entries[t:] if len(p) < n]
                 if short:
@@ -583,10 +592,15 @@ def table(*programs):
     return machines.MachineTable(tuple((p, "") for p in programs))
 
 
+def failing_levels(failures):
+    return {int(line.split("level ")[1].split(":")[0]) for line in failures}
+
+
 class TestStageChecksDifferential:
     """``check_tail_bound`` and ``check_omega_composition`` read one
-    ``omega_sums`` pass and give the failure lists their per-stage
-    ``omega_approx`` bodies gave."""
+    ``omega_sums`` pass.  The composition check gives the failure lists its
+    per-stage ``omega_approx`` body gave; the tail check passes wherever the
+    band form passes, and fails wherever it fails under a wrong reading."""
 
     @pytest.mark.parametrize("seed", [1729, 3])
     def test_suite_tables(self, monkeypatch, seed):
@@ -633,11 +647,10 @@ class TestStageChecksDifferential:
         assert found > 100
 
     def test_mass_read_too_small(self, monkeypatch):
-        # A later program's own mass is part of the gap, so a program shorter
-        # than n never follows a stage within 2**-n of the total: the check
-        # cannot fail on a table.  A mass reading 2**-8 too small makes it
-        # fail at every level that can fail, 1 to 8 (no program is shorter
-        # than 0 bits), on both bodies.
+        # Neither form can fail on a table with the right mass reading.  One
+        # 2**-8 too small fails the band form at levels 1 to 8 (no program is
+        # shorter than 0 bits), and the strict form on the same tables at
+        # every level from 0 up to 14 of the reading's 16-bit scale.
         real_sums = machines.omega_sums
 
         def shifted(t):
@@ -648,16 +661,42 @@ class TestStageChecksDifferential:
             len(p) + 8 for p, _ in t.prefix(k)))
         monkeypatch.setattr(machines.MachineTable, "domain_measure",
                             lambda t: measure_of_lengths(len(p) + 8 for p in t.domain))
-        levels = set()
+        levels, band_levels = set(), set()
         tables = [table("0", "10", "110", "1110", "11110", "111110", "1111110"),
                   table("11", "10", "0"), self.NOT_PREFIX_FREE, table("1", "")]
         rng = random.Random(43)
         tables += [verify.random_table(rng, 12, 8) for _ in range(25)]
         for t in tables:
-            ours = verify.check_tail_bound(t)
-            assert ours == ref_check_tail_bound(t), t
-            levels.update(int(line.split("level ")[1].split(":")[0]) for line in ours)
-        assert levels == set(range(1, 9))
+            ours, band = verify.check_tail_bound(t), ref_check_tail_bound(t)
+            assert bool(ours) == bool(band), t
+            levels.update(failing_levels(ours))
+            band_levels.update(failing_levels(band))
+        assert (levels, band_levels) == (set(range(15)), set(range(1, 9)))
+
+    @pytest.mark.parametrize("t, failures", [
+        (table(), []),
+        (table(""), ["stage 0, level 0: short tail ['']"]),
+        (table("0", "10", "11"), ["stage 2, level 2: short tail ['11']"]),
+        (table("", "0", "1"), ["stage 2, level 1: short tail ['1']"]),
+        # Programs of 1 to 10 bits: a level past the band form's last, 8.
+        (table(*("1" * k + "0" for k in range(10))),
+         ["stage 9, level 10: short tail ['1111111110']"]),
+    ], ids=["empty", "empty_word", "complete_code", "not_prefix_free",
+            "longer_than_eight"])
+    def test_edges(self, monkeypatch, t, failures):
+        # With the right reading the top level's stage is the last, so its
+        # tail is empty.  With the total read one unit low, the failures pin
+        # the stage and level each case reaches; the empty table has only
+        # level 0, from stage 0.
+        assert verify.check_tail_bound(t) == []
+        real_sums = machines.omega_sums
+
+        def total_one_unit_low(t):
+            sums, scale = real_sums(t)
+            return sums[:-1] + [sums[-1] - 1], scale
+
+        monkeypatch.setattr(machines, "omega_sums", total_one_unit_low)
+        assert verify.check_tail_bound(t) == failures
 
 
 class TestOracleCheckFailures:
