@@ -100,17 +100,17 @@ def random_increasing_rationals(rng: random.Random, count: int) -> list[Fraction
     return terms
 
 
-def random_gamma_lengths(rng: random.Random, budget: Fraction, max_count: int,
-                         max_len: int = 16) -> list[int]:
-    """Random lengths whose mass fits inside ``budget`` exactly.
+def random_gamma_lengths(rng: random.Random, budget: Fraction,
+                         max_count: int) -> list[int]:
+    """Random lengths in 1..16 whose mass fits inside ``budget`` exactly.
 
     The same random-number contract as :func:`random_kraft_lengths`: one
     ``randint(0, max_count)``, then one ``choice`` per length drawn, in
-    constant work each.  A budget below ``2**-max_len``, negative ones
-    included, draws nothing after the ``randint``.
+    constant work each.  A budget below ``2**-16``, negative ones included,
+    draws nothing after the ``randint``.
     """
-    scaled = int(budget * (1 << max_len))
-    return _draw_fitting(rng, max(scaled, 0), max_count, max_len)
+    scaled = int(budget * (1 << 16))
+    return _draw_fitting(rng, max(scaled, 0), max_count, 16)
 
 
 def enumerate_kraft_multisets(max_len: int) -> Iterator[tuple[int, ...]]:
@@ -379,18 +379,19 @@ def check_test_family(a_terms: Sequence[Fraction], b_terms: Sequence[Fraction],
         stage = solovay.build_test(ce_real.RationalSeq(a_terms),
                                    ce_real.RationalSeq(b_terms), level, depth)
         opened = stage.non_empty()
-        for i in range(len(opened)):
-            for j in range(i + 1, len(opened)):
-                if not opened[i][1].disjoint_from(opened[j][1]):
-                    failures.append(f"level {level}: stages {opened[i][0]} and "
-                                    f"{opened[j][0]} overlap")
+        # Sorted by left end, non-empty half-open intervals are pairwise
+        # disjoint exactly when each ends at or before the next one starts.
+        ordered = sorted(((i, iv) for i, iv in opened if not iv.is_empty),
+                         key=lambda pair: pair[1].lo)
+        for (i, left), (j, right) in zip(ordered, ordered[1:]):
+            if left.hi > right.lo:
+                failures.append(f"level {level}: stages {i} and {j} overlap")
         budget = pow2_neg(level).as_fraction()
-        if stage.total_measure() > budget:
+        measure = stage.total_measure()
+        if measure > budget:
             failures.append(f"level {level}: measure over budget")
-        if opened:
-            expected = budget * b_terms[opened[-1][0] - 1]
-            if stage.total_measure() != expected:
-                failures.append(f"level {level}: telescoped measure off")
+        if opened and measure != budget * b_terms[opened[-1][0] - 1]:
+            failures.append(f"level {level}: telescoped measure off")
 
         witness = solovay.extract_witness(ce_real.RationalSeq(a_terms),
                                           ce_real.RationalSeq(b_terms), level, depth)
@@ -401,13 +402,20 @@ def check_test_family(a_terms: Sequence[Fraction], b_terms: Sequence[Fraction],
 
 
 def check_transform(table: machines.MachineTable) -> list[str]:
-    """Collapse and no-worse-compression facts of the canonical renaming,
-    and agreement of the one-pass graph with the per-program definition."""
+    """Domain (renamed exactly when ``0.y`` is at most the total mass Omega),
+    collapse and no-worse-compression facts of the canonical renaming, and
+    agreement of the one-pass graph with the per-program definition."""
     failures = []
+    sums, scale = machines.omega_sums(table)
     renamed = {}
     defined = []
-    for program, output in table.entries:
+    for program, _ in table.entries:
+        output = table.lookup(program)
         image = machines.chaitin_transform(table, program)
+        inside = int(output or "0", 2) << scale <= sums[-1] << len(output)
+        if (image is not None) != inside:
+            failures.append(f"program {program!r} with output {output!r}: image "
+                            f"{image!r}, but 0.y {'<=' if inside else '>'} Omega")
         if image is None:
             continue
         defined.append((program, image))
@@ -426,7 +434,7 @@ def check_transform(table: machines.MachineTable) -> list[str]:
         output = table.lookup(program)
         original = machines.complexity(table, output)
         ours = machines.complexity(graph, image)
-        if original is not None and (ours is None or ours > original):
+        if ours > original:
             failures.append(f"renamed output {image!r} harder to describe "
                             f"({ours} > {original})")
     return failures
@@ -456,8 +464,6 @@ def check_combined_overhead(machine_list: Sequence[machines.MachineTable]) -> li
     for i, machine in enumerate(machine_list, start=1):
         for _, y in machine.entries:
             own = machines.complexity(machine, y)
-            if own is None:
-                continue
             merged = machines.complexity(combined, y)
             if merged is None or merged > own + i + 1:
                 failures.append(f"machine {i}, output {y!r}: {merged} > {own}+{i}+1")
@@ -480,15 +486,18 @@ def check_complexity_test(table: machines.MachineTable) -> list[str]:
 
 
 def check_compression_family(stages: Sequence[mltest.PrefixSetStage]) -> list[str]:
-    """Compression requests fit one unit of mass and deliver their savings."""
+    """Compression requests carry exactly their stage words' mass, ``n`` bits
+    cheaper at level ``n*n``, and deliver their savings."""
     failures = []
     try:
         requests = mltest.compression_requests(stages)
     except OmegalibError as exc:
         return [f"request construction failed: {exc}"]
-    total = measure_of_lengths(n for n, _ in requests)
-    if total > 1:
-        failures.append(f"total mass {total} > 1")
+    total = measure_of_lengths(n for n, _ in requests).as_fraction()
+    expected = sum((Fraction(2) ** (isqrt(stage.level) - len(word))
+                    for stage in stages for word in stage.words), Fraction(0))
+    if total != expected:
+        failures.append(f"total mass {total} != {expected}")
     pairs = codespace.allocate_all(requests)
     table = machines.MachineTable(tuple(pairs))
     for stage in stages:

@@ -67,3 +67,30 @@ def _increasing_rationals(rng, count, ceiling):
 def increasing_rationals():
     """The increasing-rationals draw with its step ceiling as an argument."""
     return _increasing_rationals
+
+
+def _outcome(call, *args):
+    """A call's result, or its exception's type and message."""
+    try:
+        return call(*args)
+    except Exception as exc:          # compared, never swallowed
+        return type(exc), str(exc)
+
+
+@pytest.fixture
+def outcome():
+    return _outcome
+
+
+def _wide_increasing_rationals(rng, count):
+    """Increasing rationals in (0, 1), each over its own 200-260 digit
+    denominator: ``c / 10**6`` for distinct ``c``, moved by under 10**-49."""
+    cuts = sorted(rng.sample(range(1, 10**6), count))
+    dens = [rng.randrange(10**200, 10**260) for _ in cuts]
+    return [Fraction(c * d // 10**6 + rng.randrange(10**150), d)
+            for c, d in zip(cuts, dens)]
+
+
+@pytest.fixture
+def wide_increasing_rationals():
+    return _wide_increasing_rationals

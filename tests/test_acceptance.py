@@ -1,20 +1,17 @@
 """Acceptance criteria: one test per criterion, each printing a verdict line.
 
 Every numeric comparison is exact (rational arithmetic, zero tolerance); each
-criterion also carries a wall-clock budget.  The sweeps reuse the seeded
-generators and check functions from ``omegalib.verify`` so the ``verify``
-subcommand and this module can never drift apart.
+criterion also carries a wall-clock budget.  Each criterion runs seeded or
+fixed inputs through checks of ``omegalib.verify`` and states no property of
+its own, so the ``verify`` subcommand checks what this module checks.
 """
 
 import random
 import time
-from fractions import Fraction
 
 from omegalib import verify
-from omegalib.codespace import allocate_all, extend_prefix
-from omegalib.exact import measure_of_lengths
-from omegalib.machines import MachineTable, chaitin_transform
-from omegalib.mltest import PrefixSetStage, compression_requests
+from omegalib.machines import MachineTable
+from omegalib.mltest import PrefixSetStage
 
 SEED = 1729
 
@@ -39,8 +36,6 @@ def _sweep_sequences(rng, kraft_orderings):
 def test_criterion_1_golden_reference_values(capsys):
     start = time.perf_counter()
     failures = verify.check_golden_cases()
-    if extend_prefix("001", 5) != ["00100", "00101", "0011"]:
-        failures.append("extend_prefix('001', 5) drifted")
     elapsed = time.perf_counter() - start
     _report(capsys, 1, "golden reference values", failures, elapsed, 1.0)
 
@@ -114,20 +109,13 @@ def test_criterion_7_canonical_renaming(capsys):
     rng = random.Random(SEED)
     start = time.perf_counter()
     failures = []
-    defined_images = 0
     for _ in range(50):
         table = verify.random_table(rng, 12, 8, nonempty=True)
-        # pin one output to the empty word so the renaming is defined
-        # somewhere on every table
+        # an empty output has 0.y = 0, so check_transform requires it renamed
         entries = list(table.entries)
         entries[0] = (entries[0][0], "")
         table = MachineTable(tuple(entries))
-        defined_images += sum(
-            1 for program, _ in table.entries
-            if chaitin_transform(table, program) is not None)
         failures.extend(verify.check_transform(table))
-    if defined_images < 50:
-        failures.append(f"renaming defined only {defined_images} times")
     elapsed = time.perf_counter() - start
     _report(capsys, 7, "canonical renaming", failures, elapsed, 30.0)
 
@@ -139,17 +127,6 @@ def test_criterion_8_compression_request_mass(capsys):
     paired = [PrefixSetStage(n * n, ("0" + "1" * (n * n), "1" + "0" * (n * n)))
               for n in range(2, 7)]
     for stages in (single, paired):
-        requests = compression_requests(stages)
-        total = measure_of_lengths(n for n, _ in requests).as_fraction()
-        expected = sum(
-            (Fraction(2) ** (n - n * n) for n in range(2, 7)), Fraction(0))
-        if total != expected:
-            failures.append(f"total mass {total} != {expected}")
-        if total > 1:
-            failures.append(f"total mass {total} over one unit")
-        issued = allocate_all(requests)
-        if [len(word) for word, _ in issued] != [n for n, _ in requests]:
-            failures.append("allocated lengths differ from requested lengths")
         failures.extend(verify.check_compression_family(stages))
     elapsed = time.perf_counter() - start
     _report(capsys, 8, "compression request mass", failures, elapsed, 10.0)

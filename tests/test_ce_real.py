@@ -229,25 +229,8 @@ def dyadic_decompose_fraction(seq, k: int) -> DyadicDecomposition:
     return decomposition
 
 
-def outcome(call, *args):
-    """A call's result, or its exception's type and message."""
-    try:
-        return call(*args)
-    except Exception as exc:          # compared, never swallowed
-        return type(exc), str(exc)
-
-
-def wide_increasing_rationals(rng, count):
-    """Increasing rationals in (0, 1), each over its own 200-260 digit
-    denominator: ``c / 10**6`` for distinct ``c``, moved by under 10**-49."""
-    cuts = sorted(rng.sample(range(1, 10**6), count))
-    dens = [rng.randrange(10**200, 10**260) for _ in cuts]
-    return [Fraction(c * d // 10**6 + rng.randrange(10**150), d)
-            for c, d in zip(cuts, dens)]
-
-
 @pytest.fixture
-def differential_families(increasing_rationals):
+def differential_families(increasing_rationals, wide_increasing_rationals):
     def families():
         for ceiling in (3, 1000):
             rng = random.Random(ceiling)
@@ -275,14 +258,14 @@ class TestFractionDifferential:
         [Fraction(1, 3), Fraction(1, 4)], [Fraction(1, 2), 0],
         [Fraction(1, 2), Dyadic(1, 2)], [Fraction(1, 10**300), Fraction(1, 10**301)],
         [Fraction(2, 3), Fraction(2 * 10**250 - 1, 3 * 10**250)]])
-    def test_invalid_sequences_fail_alike(self, terms):
+    def test_invalid_sequences_fail_alike(self, terms, outcome):
         for k in (1, len(terms)):
             new = outcome(dyadic_decompose, RationalSeq(terms), k)
             old = outcome(dyadic_decompose_fraction, FractionRationalSeq(terms), k)
             assert new == old
         assert new[0] is InvalidSequence
 
-    def test_random_corruptions_fail_alike(self, differential_families):
+    def test_random_corruptions_fail_alike(self, differential_families, outcome):
         rng = random.Random(7)
         seen = set()
         for terms in differential_families():
@@ -321,22 +304,22 @@ class TestPrefixDifferential:
     message, call after call, also resuming after an error."""
 
     @staticmethod
-    def calls(terms, ks, lazy):
+    def calls(outcome, terms, ks, lazy):
         results = []
         for cls in (RationalSeq, PropertyRationalSeq):
             seq = cls(iter(terms) if lazy else terms)
             results.append([outcome(seq.prefix, k) for k in ks])
         return results
 
-    def test_families_called_repeatedly(self, differential_families):
+    def test_families_called_repeatedly(self, differential_families, outcome):
         rng = random.Random(13)
         for terms in differential_families():
             n = len(terms)
             ks = [rng.randint(0, n + 2) for _ in range(5)] + [n, n + 1, 0]
-            new, old = self.calls(terms, ks, lazy=rng.random() < 0.5)
+            new, old = self.calls(outcome, terms, ks, lazy=rng.random() < 0.5)
             assert new == old
 
-    def test_bad_terms_then_resume(self, differential_families):
+    def test_bad_terms_then_resume(self, differential_families, outcome):
         rng = random.Random(14)
         bad = [Fraction(0), Fraction(1), Fraction(-1, 3), Fraction(5, 4), 0, 1,
                Dyadic(1, 1), Dyadic(0), "1/2", 0.5, None]
@@ -353,14 +336,14 @@ class TestPrefixDifferential:
                 else:
                     bent.insert(i, rng.choice(bad))
             ks = [len(bent)] * 4 + [rng.randint(0, len(bent)) for _ in range(3)]
-            new, old = self.calls(bent, ks, lazy=True)
+            new, old = self.calls(outcome, bent, ks, lazy=True)
             assert new == old
             seen.update(r[0] for r in new if r and isinstance(r[0], type))
         assert seen == {InvalidSequence, SequenceExhausted, TypeError}
 
     @pytest.mark.parametrize("k", [-1, -5])
-    def test_negative_length(self, k):
-        new, old = self.calls([Fraction(1, 2)], [k, 1, k], lazy=False)
+    def test_negative_length(self, k, outcome):
+        new, old = self.calls(outcome, [Fraction(1, 2)], [k, 1, k], lazy=False)
         assert new == old and new[0][0] is ValueError
 
 

@@ -714,20 +714,12 @@ def omega_lines_dyadic(table, approx):
     return out
 
 
-def outcome(call, *args):
-    """A call's result, or its exception's type and message."""
-    try:
-        return call(*args)
-    except Exception as exc:          # compared, never swallowed
-        return type(exc), str(exc)
-
-
 class TestReaderDifferential:
     LINES = ["1/4", "", "  ", " 3/8 ", "1/0", "0.5", "x", "\u0661/2", "-1/3",
              "1/" + "7" * (MAX_RATIONAL_CHARS - 2), "1/" + "7" * MAX_RATIONAL_CHARS,
              " " * (MAX_RATIONAL_CHARS + 5) + "1/2"]
 
-    def test_rational_files(self, tmp_path, no_int_digit_limit):
+    def test_rational_files(self, tmp_path, no_int_digit_limit, outcome):
         rng = random.Random(16)
         path = tmp_path / "r.txt"
         kinds = set()
@@ -741,7 +733,7 @@ class TestReaderDifferential:
             kinds.add(new[0] if new and isinstance(new[0], (type, str)) else list)
         assert kinds == {list, ValueError, "not ASCII"}
 
-    def test_file_that_is_not_ascii(self, tmp_path):
+    def test_file_that_is_not_ascii(self, tmp_path, outcome):
         path = tmp_path / "r.txt"
         path.write_bytes("1/4\n\u00bd\n".encode())
         new = outcome(cli._read_rationals, str(path))
@@ -780,23 +772,23 @@ class TestLineReaderContract:
                 return cli._read_rationals("-")
         return (read,) + self.LINES[request.param]
 
-    def test_blank_lines_count(self, reader):
+    def test_blank_lines_count(self, reader, outcome):
         read, good, value, (bad, message), _ = reader
         assert read(["", good, "  ", good]) == [value, value]
         assert outcome(read, [good, "", "   ", bad]) == (ValueError, f"line 4: {message}")
 
-    def test_padded_line_is_stripped(self, reader):
+    def test_padded_line_is_stripped(self, reader, outcome):
         read, good, value, (bad, message), _ = reader
         assert read([f" \t{good} \r", f"  {good}"]) == [value, value]
         assert outcome(read, [f"  {bad}\r"]) == (ValueError, f"line 1: {message}")
 
-    def test_first_bad_line_wins(self, reader):
+    def test_first_bad_line_wins(self, reader, outcome):
         read, good, _, (bad, message), (other, other_message) = reader
         assert outcome(read, [good, bad, other]) == (ValueError, f"line 2: {message}")
         assert outcome(read, [good, other, bad]) == \
             (ValueError, f"line 2: {other_message}")
 
-    def test_other_errors_carry_no_line_number(self, reader):
+    def test_other_errors_carry_no_line_number(self, reader, outcome):
         read, good, _, (bad, _), _ = reader
         for odd in (None, 5, good.encode()):
             for lines in ([good, odd, bad], [odd]):

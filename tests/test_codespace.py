@@ -313,14 +313,6 @@ def parse_request_lines_own_loop(lines):
     return requests
 
 
-def parsed(make):
-    """What ``make()`` returns, or the exception's type and message."""
-    try:
-        return make()
-    except Exception as exc:          # compared, never swallowed
-        return type(exc), str(exc)
-
-
 REQUEST_LINES = ["2\t01", "3\t-", "12\t110", "007\t1"]
 
 
@@ -347,12 +339,12 @@ class TestRequestFilesDifferential:
     loop returned, or raises its first exception with the same type and
     message."""
 
-    def check(self, make_lines):
-        new = parsed(lambda: parse_request_lines(make_lines()))
-        assert new == parsed(lambda: parse_request_lines_own_loop(make_lines()))
+    def check(self, outcome, make_lines):
+        new = outcome(lambda: parse_request_lines(make_lines()))
+        assert new == outcome(lambda: parse_request_lines_own_loop(make_lines()))
         return new
 
-    def test_seeded_valid_files(self):
+    def test_seeded_valid_files(self, outcome):
         rng = random.Random(15)
         for _ in range(300):
             requests = [(n, random_word(rng, 6))
@@ -361,14 +353,14 @@ class TestRequestFilesDifferential:
                      + rng.choice(("", " ", "\r")) for n, y in requests]
             for _ in range(rng.randint(0, 3)):
                 lines.insert(rng.randint(0, len(lines)), rng.choice(("", "  ")))
-            assert self.check(lambda: lines) == requests
+            assert self.check(outcome, lambda: lines) == requests
 
-    def test_each_line_made_bad_in_each_way(self):
+    def test_each_line_made_bad_in_each_way(self, outcome):
         count = 0
         for i, line in enumerate(REQUEST_LINES):
             for bad in bad_request_lines(line):
                 lines = REQUEST_LINES[:i] + [bad] + REQUEST_LINES[i + 1:]
-                result = self.check(lambda: lines)
+                result = self.check(outcome, lambda: lines)
                 # A space at either end of a line is stripped away, so a
                 # few of these lines are still valid.
                 if not isinstance(result, list):
@@ -377,41 +369,41 @@ class TestRequestFilesDifferential:
                     count += 1
         assert count > 150
 
-    def test_length_at_and_past_the_caps(self):
+    def test_length_at_and_past_the_caps(self, outcome):
         at_cap = "0" * (MAX_LENGTH_DIGITS - 5) + str(MAX_TEXT_LENGTH)
-        assert self.check(lambda: [f"{at_cap}\t-"]) == [(MAX_TEXT_LENGTH, "")]
-        result = self.check(lambda: REQUEST_LINES + ["0" + at_cap + "\t-"])
+        assert self.check(outcome, lambda: [f"{at_cap}\t-"]) == [(MAX_TEXT_LENGTH, "")]
+        result = self.check(outcome, lambda: REQUEST_LINES + ["0" + at_cap + "\t-"])
         assert result == (ValueError, "line 5: length has 101 digits, "
                           "above the cap of 100")
-        result = self.check(lambda: [f"{MAX_TEXT_LENGTH + 1}\t1"])
+        result = self.check(outcome, lambda: [f"{MAX_TEXT_LENGTH + 1}\t1"])
         assert result == (ValueError, "line 1: length 16385 is above the cap "
                           "of 16384")
 
-    def test_blank_padded_lines_and_dash_fields(self):
+    def test_blank_padded_lines_and_dash_fields(self, outcome):
         # strip() removes a tab at either end, so "\t12\t0" is one request.
         lines = ["", "  2\t01  ", "\t", " \n", "3\t-\n", "0\t-", "\r\n",
                  "\t12\t0", " 7 \t1", "4\t-\t"]
-        assert self.check(lambda: lines) == \
+        assert self.check(outcome, lambda: lines) == \
             [(2, "01"), (3, ""), (0, ""), (12, "0"), (7, "1"), (4, "")]
-        result = self.check(lambda: lines + ["-\t1"])
+        result = self.check(outcome, lambda: lines + ["-\t1"])
         assert result == (ValueError, "line 11: length '-' is not a natural number")
-        result = self.check(lambda: lines + ["\t- 0"])
+        result = self.check(outcome, lambda: lines + ["\t- 0"])
         assert result == (ValueError, "line 11: expected 'n<TAB>y', got '- 0'")
 
-    def test_odd_lines(self):
+    def test_odd_lines(self, outcome):
         for odd in (b"2\t1", None, 5):
             for lines in (REQUEST_LINES + [odd], [odd, "2\t2"]):
-                assert self.check(lambda: lines)[0] in (AttributeError, TypeError)
-            assert self.check(lambda: ["2\t2", odd]) == \
+                assert self.check(outcome, lambda: lines)[0] in (AttributeError, TypeError)
+            assert self.check(outcome, lambda: ["2\t2", odd]) == \
                 (ValueError, "line 1: not a binary word: '2'")
 
-    def test_list_tuple_and_generator_input(self):
+    def test_list_tuple_and_generator_input(self, outcome):
         for lines in (REQUEST_LINES, REQUEST_LINES + ["1\t2"],
                       REQUEST_LINES + ["1"], []):
-            expected = self.check(lambda: lines)
-            assert self.check(lambda: tuple(lines)) == expected
-            assert self.check(lambda: (line for line in lines)) == expected
-            assert self.check(lambda: iter(lines)) == expected
+            expected = self.check(outcome, lambda: lines)
+            assert self.check(outcome, lambda: tuple(lines)) == expected
+            assert self.check(outcome, lambda: (line for line in lines)) == expected
+            assert self.check(outcome, lambda: iter(lines)) == expected
 
 
 # --- ``parse_request_lines`` as it was before each distinct line was parsed
@@ -449,12 +441,12 @@ class TestOneParsePerDistinctLine:
     reader returned, or raises its first exception with the same type and
     message."""
 
-    def check(self, make_lines):
-        new = parsed(lambda: parse_request_lines(make_lines()))
-        assert new == parsed(lambda: parse_request_lines_per_line(make_lines()))
+    def check(self, outcome, make_lines):
+        new = outcome(lambda: parse_request_lines(make_lines()))
+        assert new == outcome(lambda: parse_request_lines_per_line(make_lines()))
         return new
 
-    def test_seeded_repeated_good_and_bad_lines(self):
+    def test_seeded_repeated_good_and_bad_lines(self, outcome):
         rng = random.Random(17)
         good = [f"{rng.randint(0, 30)}\t{format_word(random_word(rng, 5))}"
                 for _ in range(12)]
@@ -464,12 +456,12 @@ class TestOneParsePerDistinctLine:
             pool = rng.sample(good, 4) + rng.sample(bad, rng.choice((0, 0, 1, 2)))
             lines = [rng.choice(("", " ")) + rng.choice(pool) + rng.choice(("", "\r"))
                      for _ in range(rng.randint(0, 40))]
-            result = self.check(lambda: lines)
+            result = self.check(outcome, lambda: lines)
             kinds[list if isinstance(result, list) else result[0]] += 1
         assert set(kinds) == {list, ValueError}
         assert min(kinds.values()) > 100
 
-    def test_bad_line_one_character_from_a_good_line(self):
+    def test_bad_line_one_character_from_a_good_line(self, outcome):
         count = 0
         for good in REQUEST_LINES:
             for pos in range(len(good)):
@@ -477,29 +469,31 @@ class TestOneParsePerDistinctLine:
                     line = good[:pos] + bad + good[pos + 1:]
                     if line == good:
                         continue
-                    result = self.check(lambda: [good, "1\t1", good, line, good, line])
+                    result = self.check(outcome,
+                                        lambda: [good, "1\t1", good, line, good, line])
                     if not isinstance(result, list):
                         assert result[1].startswith("line 4: ")
                         count += 1
         assert count > 60
 
-    def test_same_line_with_other_whitespace(self):
+    def test_same_line_with_other_whitespace(self, outcome):
         lines = ["3\t01", " 3\t01", "3\t01 ", "\t3\t01", "3 \t01", " 3 \t01\r",
                  "\x0c3\t01", "3\t01\n", "3\t01"]
-        assert self.check(lambda: lines) == [(3, "01")] * len(lines)
-        result = self.check(lambda: lines + ["3\t 01", "3\t01"])
+        assert self.check(outcome, lambda: lines) == [(3, "01")] * len(lines)
+        result = self.check(outcome, lambda: lines + ["3\t 01", "3\t01"])
         assert result == (ValueError, "line 10: not a binary word: ' 01'")
-        result = self.check(lambda: lines + ["3\t0 1"])
+        result = self.check(outcome, lambda: lines + ["3\t0 1"])
         assert result == (ValueError, "line 10: not a binary word: '0 1'")
 
-    def test_blank_crlf_and_form_feed_lines(self):
+    def test_blank_crlf_and_form_feed_lines(self, outcome):
         lines = ["", "\r\n", "\x0c", "2\t1\r\n", "\x0c2\t1", "   ", "\r",
                  "2\t1", "\x0c\r\n", "2\t-\x0c"]
-        assert self.check(lambda: lines * 3) == [(2, "1"), (2, "1"), (2, "1"), (2, "")] * 3
-        result = self.check(lambda: lines + ["\x0c", "2\t\x0c1"])
+        assert self.check(outcome, lambda: lines * 3) == \
+            [(2, "1"), (2, "1"), (2, "1"), (2, "")] * 3
+        result = self.check(outcome, lambda: lines + ["\x0c", "2\t\x0c1"])
         assert result == (ValueError, "line 12: not a binary word: '\\x0c1'")
 
-    def test_bad_line_after_blanks_and_repeats(self):
+    def test_bad_line_after_blanks_and_repeats(self, outcome):
         # A line's number counts the requests and the blank lines before it,
         # repeats and every kind of blank line included.
         filler = ["", "2\t01", "   ", "\r\n", "2\t01", "\t", "3\t-", "2\t01",
@@ -507,61 +501,61 @@ class TestOneParsePerDistinctLine:
         for bad in ("2\t2", "x\t1", "2\t01\t1", "\r\n2\t0x\r\n"):
             for where in (0, 1, 4, len(filler) // 2, len(filler) - 1, len(filler)):
                 lines = filler[:where] + [bad] + filler[where:] + [bad]
-                result = self.check(lambda: lines)
+                result = self.check(outcome, lambda: lines)
                 assert result[0] is ValueError
                 assert result[1].startswith(f"line {where + 1}: ")
 
-    def test_length_caps(self):
+    def test_length_caps(self, outcome):
         at_cap = f"{MAX_TEXT_LENGTH}\t-"
         over_cap = f"{MAX_TEXT_LENGTH + 1}\t-"
         digits = "0" * (MAX_LENGTH_DIGITS - 1) + "7"
         assert len(digits) == MAX_LENGTH_DIGITS
         lines = [at_cap, f"{digits}\t1", at_cap, f"{digits}\t1"]
-        assert self.check(lambda: lines) == [(MAX_TEXT_LENGTH, ""), (7, "1")] * 2
-        assert self.check(lambda: lines + [over_cap, at_cap]) == \
+        assert self.check(outcome, lambda: lines) == [(MAX_TEXT_LENGTH, ""), (7, "1")] * 2
+        assert self.check(outcome, lambda: lines + [over_cap, at_cap]) == \
             (ValueError, "line 5: length 16385 is above the cap of 16384")
-        assert self.check(lambda: lines + [f"0{digits}\t1", at_cap]) == \
+        assert self.check(outcome, lambda: lines + [f"0{digits}\t1", at_cap]) == \
             (ValueError, "line 5: length has 101 digits, above the cap of 100")
 
-    def test_lines_that_are_not_str(self):
+    def test_lines_that_are_not_str(self, outcome):
         for odd in (5, None, ["2\t1"], []):
             for lines in (REQUEST_LINES + [odd], [odd, "2\t1"],
                           REQUEST_LINES * 2 + [odd] + REQUEST_LINES):
-                assert self.check(lambda: lines)[0] in (AttributeError, TypeError)
-            assert self.check(lambda: REQUEST_LINES + ["2\t2", odd]) == \
+                assert self.check(outcome, lambda: lines)[0] in (AttributeError, TypeError)
+            assert self.check(outcome, lambda: REQUEST_LINES + ["2\t2", odd]) == \
                 (ValueError, "line 5: not a binary word: '2'")
 
-    def test_lines_that_stop_with_an_error(self):
+    def test_lines_that_stop_with_an_error(self, outcome):
         def then_fail(lines):
             yield from lines
             raise RuntimeError("read failed")
 
         for lines in (REQUEST_LINES * 2, [], REQUEST_LINES + ["2\t2"],
                       REQUEST_LINES + ["x"], REQUEST_LINES + [None]):
-            result = self.check(lambda: then_fail(lines))
+            result = self.check(outcome, lambda: then_fail(lines))
             assert result[0] is not list
-        assert self.check(lambda: then_fail(REQUEST_LINES)) == \
+        assert self.check(outcome, lambda: then_fail(REQUEST_LINES)) == \
             (RuntimeError, "read failed")
 
-    def test_more_distinct_lines_than_are_shared(self):
+    def test_more_distinct_lines_than_are_shared(self, outcome):
         rng = random.Random(18)
         shared = codespace._SHARED_LINES
         lines = [f"{rng.randint(0, 60)}\t{i:b}" for i in range(shared + 500)]
         assert len(set(lines)) == len(lines)
         lines += rng.sample(lines, 1000)
-        result = self.check(lambda: lines)
+        result = self.check(outcome, lambda: lines)
         assert len(result) == len(lines)
         # A bad output, or a length that is not ASCII, on a line first seen
         # after the dict is full.
         for late in ("5\t0120", "٥\t1", "5\t01\t1"):
             for where in (len(lines), shared + 100):
                 bad = lines[:where] + [late] + lines[where:]
-                result = self.check(lambda: bad)
+                result = self.check(outcome, lambda: bad)
                 assert result[1].startswith(f"line {where + 1}: ")
 
-    def test_alloc_stream_shaped_lines_share_their_tuples(self):
+    def test_alloc_stream_shaped_lines_share_their_tuples(self, outcome):
         lines = alloc_stream_lines(random.Random(19), 45_000)
-        result = self.check(lambda: lines)
+        result = self.check(outcome, lambda: lines)
         assert len(result) == 45_000
         distinct = len(set(lines))
         assert distinct < 5_000
@@ -588,55 +582,56 @@ class TestAllocateAllDifferential:
     returned, or raises its first exception with the same type, message and
     refusal index."""
 
-    def check(self, make_requests):
-        new = parsed(lambda: allocate_all(make_requests()))
-        assert new == parsed(lambda: allocate_all_per_request(make_requests()))
+    def check(self, outcome, make_requests):
+        new = outcome(lambda: allocate_all(make_requests()))
+        assert new == outcome(lambda: allocate_all_per_request(make_requests()))
         return new
 
-    def test_seeded_requests(self):
+    def test_seeded_requests(self, outcome):
         rng = random.Random(20)
         for _ in range(200):
             rows = [(n, random_word(rng, 6)) for n in random_kraft_lengths(rng, 30, 14)]
             rows += [(rng.randint(0, 3), "")] * rng.randint(0, 2)
             for make in (lambda: rows, lambda: tuple(rows),
                          lambda: (row for row in rows), lambda: iter(rows)):
-                self.check(make)
+                self.check(outcome, make)
 
-    def test_bad_output_before_at_and_after_a_refusal(self):
+    def test_bad_output_before_at_and_after_a_refusal(self, outcome):
         rows = [(1, "0"), (2, "1"), (2, ""), (1, "01"), (3, "1")]
-        assert self.check(lambda: rows) == (
+        assert self.check(outcome, lambda: rows) == (
             InsufficientMass, "no free prefix can honour a length-1 request "
             "(request index 3)")
         count = 0
         for i in range(len(rows)):
             for bad in ("2", "0x", " ", "٠", None, 5, b"01", ["0"], ("0",)):
                 odd = rows[:i] + [(rows[i][0], bad)] + rows[i + 1:]
-                result = self.check(lambda: odd)
+                result = self.check(outcome, lambda: odd)
                 # The refused request is refused before its output is read.
                 assert result[0] is (InsufficientMass if i >= 3 else
                                      ValueError if isinstance(bad, str) else TypeError)
                 count += 1
         assert count == 45
 
-    def test_odd_requests(self):
+    def test_odd_requests(self, outcome):
         Request = namedtuple("Request", "n y")
         for odd in ([1, "0"], [1, "2"], (1,), (), (1, "0", "1"), (1, "2", "0"),
                     {0: 1, 1: "0"}, None, "10", Request(1, "0"), Request(1, "2"),
                     (-1, "0"), ("1", "0"), (None, "0"), (1.0, "0")):
             for rows in ([odd], [(2, "1"), odd, (2, "0")], [(2, "1"), (2, "x"), odd],
                          [(0, ""), odd, (1, "2")]):
-                self.check(lambda: rows)
+                self.check(outcome, lambda: rows)
 
-    def test_requests_that_stop_with_an_error(self):
+    def test_requests_that_stop_with_an_error(self, outcome):
         def then_fail(rows):
             yield from rows
             raise RuntimeError("read failed")
 
         for rows in ([(1, "0"), (2, "1")], [(1, "0"), (2, "2")],
                      [(0, ""), (0, "")], [(1, "0"), None], []):
-            result = self.check(lambda: then_fail(rows))
+            result = self.check(outcome, lambda: then_fail(rows))
             assert result[0] is not list
-        assert self.check(lambda: then_fail([(1, "0")])) == (RuntimeError, "read failed")
+        assert self.check(outcome, lambda: then_fail([(1, "0")])) == \
+            (RuntimeError, "read failed")
 
 
 # ---------------------------------------------------------------------------

@@ -218,23 +218,6 @@ def build_test_fraction(a, b, level, depth):
     return solovay.TestStage(level=level, intervals=tuple(intervals))
 
 
-def wide_increasing_rationals(rng, count):
-    """Increasing rationals in (0, 1), each over its own 200-260 digit
-    denominator: ``c / 10**6`` for distinct ``c``, moved by under 10**-49."""
-    cuts = sorted(rng.sample(range(1, 10**6), count))
-    dens = [rng.randrange(10**200, 10**260) for _ in cuts]
-    return [Fraction(c * d // 10**6 + rng.randrange(10**150), d)
-            for c, d in zip(cuts, dens)]
-
-
-def outcome(call, *args):
-    """A call's result, or its exception's type and message."""
-    try:
-        return call(*args)
-    except Exception as exc:          # compared, never swallowed
-        return type(exc), str(exc)
-
-
 class TestBuildTestDifferential:
     @pytest.mark.parametrize("step_ceiling", [3, 1000])
     def test_matches_any_scan(self, increasing_rationals, step_ceiling):
@@ -249,7 +232,7 @@ class TestBuildTestDifferential:
                 assert stage.intervals == build_test_any_scan(
                     seq(a), seq(b), level, depth), (a, b, level)
 
-    def test_matches_fraction_on_wide_denominators(self):
+    def test_matches_fraction_on_wide_denominators(self, wide_increasing_rationals):
         rng = random.Random(200)
         for _ in range(60):
             depth = rng.randint(1, 30)
@@ -266,7 +249,7 @@ class TestBuildTestDifferential:
         ([Fraction(1, 4), Fraction(1, 2)], [Fraction(0), Fraction(1, 4)]),
         ([Fraction(1, 4)], [Fraction(1, 8), Fraction(1, 4)]),
     ])
-    def test_invalid_sequences_fail_alike(self, a, b):
+    def test_invalid_sequences_fail_alike(self, a, b, outcome):
         for level, depth in ((1, 2), (-1, 2), (1, -1)):
             new = outcome(build_test, seq(a), seq(b), level, depth)
             assert new == outcome(build_test_fraction, seq(a), seq(b), level, depth)
@@ -282,7 +265,7 @@ def omega_rep_compose_via_inner(machine, c, gamma_lengths, k):
 
 
 class TestRepComposeDifferential:
-    def test_matches_inner_table(self):
+    def test_matches_inner_table(self, outcome):
         rng = random.Random(15)
         kinds = set()
         for _ in range(300):
@@ -302,7 +285,7 @@ class TestRepComposeDifferential:
     @pytest.mark.parametrize("args", [(MachineTable(()), 1, [2], 1),
                                       (TestRepresentationStream.V, -1, [2], 1),
                                       (TestRepresentationStream.V, 1, [2], -1)])
-    def test_refusals_match(self, args):
+    def test_refusals_match(self, args, outcome):
         new = outcome(omega_rep_compose, *args)
         assert new == outcome(omega_rep_compose_via_inner, *args)
         assert new[0] is ValueError

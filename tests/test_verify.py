@@ -3,7 +3,8 @@ list-filtering draws and the recursive multiset walk they replaced, and
 digests that pin the families the acceptance sweeps and the benchmark use.
 Also the failure messages of ``check_invariants_along``, its split audit
 against the full check after every request, the checks the suite runner
-makes, and every failure message of the two oracle checks."""
+makes, every failure message of the two oracle checks, and a failure of
+each of the compression, renaming, interval-test and header checks."""
 
 import hashlib
 import random
@@ -13,8 +14,8 @@ from typing import Iterator
 
 import pytest
 
-from omegalib import ce_real, codespace, machines, solovay, verify
-from omegalib.exact import Dyadic, measure_of_lengths, pow2_neg
+from omegalib import ce_real, codespace, machines, mltest, solovay, verify
+from omegalib.exact import Dyadic, Interval, measure_of_lengths, pow2_neg
 from omegalib.verify import (check_invariants_along, enumerate_kraft_multisets,
                              random_gamma_lengths, random_kraft_lengths)
 
@@ -90,22 +91,17 @@ def test_random_kraft_lengths_matches_reference():
             assert ours.getstate() == theirs.getstate(), (seed, max_requests, max_len)
 
 
-@pytest.mark.parametrize("max_len", [16, 3, 1, 0])
-def test_random_gamma_lengths_matches_reference(max_len):
+def test_random_gamma_lengths_matches_reference():
     for seed in range(100):
         ours, theirs = random.Random(seed), random.Random(seed)
         for budget in GAMMA_BUDGETS:
-            got = random_gamma_lengths(ours, budget, 8, max_len)
-            want = ref_random_gamma_lengths(theirs, budget, 8, max_len)
+            got = random_gamma_lengths(ours, budget, 8)
+            want = ref_random_gamma_lengths(theirs, budget, 8)
             assert got == want, (seed, budget)
             assert ours.getstate() == theirs.getstate(), (seed, budget)
 
 
-@pytest.mark.parametrize("draw", [
-    random_kraft_lengths, ref_random_kraft_lengths,
-    lambda rng, count, max_len: random_gamma_lengths(rng, Fraction(1), count, max_len),
-    lambda rng, count, max_len: ref_random_gamma_lengths(rng, Fraction(1), count, max_len),
-])
+@pytest.mark.parametrize("draw", [random_kraft_lengths, ref_random_kraft_lengths])
 def test_negative_max_len_raises(draw):
     with pytest.raises(ValueError):
         draw(random.Random(0), 5, -1)
@@ -300,18 +296,18 @@ class TestCheckInvariantsAlongDifferential:
     LENGTHS = [6, 2, 4, 5, 5, 3, 7]
 
     @staticmethod
-    def both(lengths):
+    def both(outcome, lengths):
         ours = outcome(check_invariants_along, lengths)
         assert ours == outcome(ref_check_invariants_along, lengths), lengths
         return ours
 
-    def test_sweep_sample(self, kraft_orderings):
+    def test_sweep_sample(self, kraft_orderings, outcome):
         rng = random.Random(19)
         family = list(kraft_orderings(random.Random(1729)))
         sample = rng.sample(family, 3000)
         sample += [random_kraft_lengths(rng, 50, 16) for _ in range(1000)]
         for lengths in sample:
-            assert self.both(lengths) == [], lengths
+            assert self.both(outcome, lengths) == [], lengths
 
     EDGE_SEQUENCES = [
         [], [0], [1, 1], [0, 0], [1, 1, 1], [2, 1, 2, 3, 3],
@@ -320,12 +316,12 @@ class TestCheckInvariantsAlongDifferential:
     ]
 
     @pytest.mark.parametrize("lengths", EDGE_SEQUENCES)
-    def test_edge_sequences(self, lengths):
-        self.both(lengths)
+    def test_edge_sequences(self, lengths, outcome):
+        self.both(outcome, lengths)
 
     @pytest.mark.parametrize("steps", [{0}, {4}, "every"], ids=["first", "middle", "every"])
     @pytest.mark.parametrize("damage", list(DAMAGES))
-    def test_damaged_allocator(self, monkeypatch, damage, steps):
+    def test_damaged_allocator(self, monkeypatch, damage, steps, outcome):
         real, calls = codespace.allocate, []
 
         def damaged(state, n):
@@ -342,7 +338,7 @@ class TestCheckInvariantsAlongDifferential:
         if damage != "issue an extra word":
             assert theirs != []
 
-    def test_codeword_lengths_swapped(self, monkeypatch):
+    def test_codeword_lengths_swapped(self, monkeypatch, outcome):
         # Requests 1 and 2 are served at each other's lengths: every step is
         # a valid split with a matching ledger, but after request 1 the rest
         # no longer fits.
@@ -372,7 +368,8 @@ class TestCheckInvariantsAlongDifferential:
 
     @pytest.mark.parametrize("step", [0, 4], ids=["first", "middle"])
     @pytest.mark.parametrize("damage", list(DAMAGES))
-    def test_full_check_from_the_first_refused_step(self, monkeypatch, damage, step):
+    def test_full_check_from_the_first_refused_step(self, monkeypatch, damage, step,
+                                                    outcome):
         real, calls = codespace.allocate, []
 
         def damaged(state, n):
@@ -404,9 +401,9 @@ class TestCheckInvariantsAlongDifferential:
     # [3, 2] fits in half of code space: each pool but the empty one serves it.
     @pytest.mark.parametrize("lengths", [LENGTHS, [3, 2], *EDGE_SEQUENCES])
     @pytest.mark.parametrize("fresh", list(BROKEN_FRESH))
-    def test_the_fresh_state_is_not_trusted(self, monkeypatch, fresh, lengths):
+    def test_the_fresh_state_is_not_trusted(self, monkeypatch, fresh, lengths, outcome):
         monkeypatch.setattr(codespace, "new_allocator", self.BROKEN_FRESH[fresh])
-        self.both(lengths)
+        self.both(outcome, lengths)
 
     def test_a_split_complete_code_is_proved(self, monkeypatch):
         # The request of length 6 splits 1 of the complete code {0, 1}: the
@@ -560,14 +557,6 @@ def ref_check_tail_bound(table):
     return failures
 
 
-def outcome(call, *args):
-    """A call's result, or its exception's type and message."""
-    try:
-        return call(*args)
-    except Exception as exc:          # compared, never swallowed
-        return type(exc), str(exc)
-
-
 def suite_arguments(monkeypatch, suite, check, seed):
     """The arguments ``verify`` passes to ``check`` in one suite run."""
     calls = []
@@ -622,7 +611,7 @@ class TestStageChecksDifferential:
 
     NOT_PREFIX_FREE = table("0", "", "01", "1")
 
-    def test_table_that_is_not_prefix_free(self):
+    def test_table_that_is_not_prefix_free(self, outcome):
         t = self.NOT_PREFIX_FREE
         assert t.domain_measure() > 1
         assert verify.check_tail_bound(t) == ref_check_tail_bound(t) == []
@@ -792,3 +781,47 @@ class TestOracleCheckFailures:
         assert verify.check_differential([1, 1]) == []
         assert verify.check_differential([1, 2, 2]) == []
         assert verify.check_extension_split([1], [1]) == []
+
+
+class TestCheckFailures:
+    """Four checks, each failing on one patched call through its module."""
+
+    TABLE = machines.MachineTable((("0", "11"), ("10", "")))
+
+    def test_compression_request_one_bit_short(self, monkeypatch):
+        stages = [mltest.PrefixSetStage(4, ("1111",))]
+        assert verify.check_compression_family(stages) == []
+        real = mltest.compression_requests
+        monkeypatch.setattr(mltest, "compression_requests",
+                            lambda stages: [(n - 1, w) for n, w in real(stages)])
+        assert verify.check_compression_family(stages) == ["total mass 1/2 != 1/4"]
+
+    def test_renaming_undefined_on_the_empty_output(self, monkeypatch):
+        # Both outputs are renamed: 0.11 equals the total mass 3/4; an empty y reads 0.
+        assert verify.check_transform(self.TABLE) == []
+        real = machines.chaitin_transform
+        monkeypatch.setattr(machines, "chaitin_transform",
+                            lambda t, p: None if t.lookup(p) == "" else real(t, p))
+        assert verify.check_transform(self.TABLE) == [
+            "program '10' with output '': image None, but 0.y <= Omega",
+            "graph entry for program '10' is ('10', ''), the definition gives None"]
+
+    def test_overlap_named_by_neighbours_in_left_end_order(self, monkeypatch):
+        # In eighths: stage 1 overlaps stage 3, not stage 2; stage 4 is empty.
+        # No two neighbours in stage order overlap.
+        stage = solovay.TestStage(1, tuple(Interval(Fraction(lo, 8), Fraction(hi, 8))
+                                           for lo, hi in [(0, 4), (4, 6), (2, 4), (1, 1)]))
+        monkeypatch.setattr(solovay, "build_test", lambda a, b, level, depth: stage)
+        terms = [Fraction(k, 5) for k in range(1, 5)]
+        failures = verify.check_test_family(terms, terms, [1])
+        assert [f for f in failures if "overlap" in f] == [
+            "level 1: stages 1 and 3 overlap"]
+
+    def test_headered_witness_missing(self, monkeypatch):
+        assert verify.check_combined_overhead([self.TABLE]) == []
+        real = machines.combine_universal
+        monkeypatch.setattr(machines, "combine_universal",
+                            lambda group: machines.MachineTable(real(group).entries[:-1]))
+        assert verify.check_combined_overhead([self.TABLE]) == [
+            "machine 1, output '': None > 2+1+1",
+            "machine 1: headered witness missing for ''"]
