@@ -3,10 +3,7 @@ approximants, computably enumerable reals, domination tests and levelled
 null covers.  Everything computes with exact dyadic and rational numbers;
 no floating point is involved anywhere in the library proper."""
 
-from .errors import (InsufficientMass, InvalidSequence, LengthMismatch,
-                     MeasureViolation, NonPositiveInput, OmegalibError,
-                     SequenceExhausted, StageOutOfRange, TargetTooShort,
-                     UnderlongString)
+from .errors import InsufficientMass, OmegalibError
 from .exact import (Dyadic, Interval, as_fraction, ceil_neg_log2,
                     measure_of_lengths, pow2_neg)
 from .codespace import (AllocatorState, InvariantReport, allocate,
@@ -27,16 +24,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AllocatorState", "Dyadic", "DominationWitness", "DyadicDecomposition",
-    "InsufficientMass", "Interval", "InvalidSequence", "InvariantReport",
-    "LengthMismatch", "MachineTable", "MeasureViolation", "NonPositiveInput",
-    "OmegalibError", "PrefixSetStage", "RationalSeq", "SequenceExhausted",
-    "StageOutOfRange", "TargetTooShort", "TestStage", "UnderlongString",
-    "allocate", "allocate_all", "antichain_measure", "as_fraction",
-    "build_test", "ceil_neg_log2", "chaitin_transform",
-    "chaitin_transform_table", "check_domination", "check_invariants",
-    "combine_universal", "complexity", "complexity_test_stage", "compose",
-    "compression_requests", "dyadic_decompose", "extend_prefix",
-    "extract_witness", "interleave_requests", "measure_of_lengths",
-    "new_allocator", "omega_approx", "omega_rep_compose", "pow2_neg",
-    "stage_membership", "to_machine",
+    "InsufficientMass", "Interval", "InvariantReport", "MachineTable",
+    "OmegalibError", "PrefixSetStage", "RationalSeq", "TestStage", "allocate",
+    "allocate_all", "antichain_measure", "as_fraction", "build_test",
+    "ceil_neg_log2", "chaitin_transform", "chaitin_transform_table",
+    "check_domination", "check_invariants", "combine_universal", "complexity",
+    "complexity_test_stage", "compose", "compression_requests",
+    "dyadic_decompose", "extend_prefix", "extract_witness",
+    "interleave_requests", "measure_of_lengths", "new_allocator",
+    "omega_approx", "omega_rep_compose", "pow2_neg", "stage_membership",
+    "to_machine",
 ]

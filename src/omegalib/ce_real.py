@@ -25,7 +25,7 @@ from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
 from .codespace import allocate_all
-from .errors import InvalidSequence, SequenceExhausted
+from .errors import OmegalibError
 from .exact import Dyadic, _ceil_neg_log2, as_fraction
 from .machines import MachineTable
 
@@ -36,7 +36,7 @@ class RationalSeq:
     Wraps any iterable of rationals; terms are pulled and cached on demand,
     so generator-backed sequences extend their materialized prefix lazily.
     Monotonicity and range are checked as terms arrive: a bad source fails at
-    its first offending term with InvalidSequence.
+    its first offending term with OmegalibError.
     """
 
     def __init__(self, source: Iterable[Fraction | int | Dyadic]):
@@ -44,7 +44,7 @@ class RationalSeq:
         self._cache: list[Fraction] = []
 
     def prefix(self, k: int) -> tuple[Fraction, ...]:
-        """The first ``k`` terms; SequenceExhausted if fewer are available."""
+        """The first ``k`` terms; OmegalibError if fewer are available."""
         if k < 0:
             raise ValueError("prefix length must be a natural number")
         cache = self._cache
@@ -57,15 +57,15 @@ class RationalSeq:
                 term = as_fraction(raw)
                 p, q = term.numerator, term.denominator
                 if not 0 < p < q:
-                    raise InvalidSequence(f"term {term} is outside (0, 1)")
+                    raise OmegalibError(f"term {term} is outside (0, 1)")
                 if p * lq <= lp * q:
-                    raise InvalidSequence(
+                    raise OmegalibError(
                         f"term {term} does not increase past {cache[-1]}")
                 cache.append(term)
                 lp, lq = p, q
             if len(cache) < k:
-                raise SequenceExhausted(f"sequence ended after {len(cache)} "
-                                        f"terms, {k} were requested")
+                raise OmegalibError(f"sequence ended after {len(cache)} "
+                                    f"terms, {k} were requested")
         return tuple(cache[:k])
 
 
@@ -122,7 +122,7 @@ def dyadic_decompose(seq: RationalSeq, k: int) -> DyadicDecomposition:
         p, q = a.numerator, a.denominator
         gap = (p << e) - rm * q              # a - r, times q << e
         if gap <= 0:
-            raise InvalidSequence(
+            raise OmegalibError(
                 f"term {a} does not clear the partial sum {Dyadic(rm, e)}")
         n = _ceil_neg_log2(gap, q << e)
         if n > e:

@@ -38,7 +38,7 @@ from typing import Iterable, Sequence
 
 from .bits import (MAX_LENGTH_DIGITS, MAX_TEXT_LENGTH, bit_value, parse_word,
                    validate_bits)
-from .errors import InsufficientMass, TargetTooShort
+from .errors import InsufficientMass, OmegalibError
 from .exact import DYADIC_ZERO, Dyadic, pow2_neg
 
 
@@ -53,7 +53,7 @@ def extend_prefix(stem: str, target: int) -> list[str]:
     """
     validate_bits(stem)
     if target < len(stem):
-        raise TargetTooShort(
+        raise OmegalibError(
             f"target length {target} is below the stem length {len(stem)}")
     state = AllocatorState(free=[stem])
     return [allocate(state, target), *reversed(state.free)]

@@ -2,11 +2,11 @@
 
 
 class OmegalibError(Exception):
-    """Base class for every domain-level error this library raises."""
+    """Every domain-level error this library raises.
 
-
-class NonPositiveInput(OmegalibError):
-    """A strictly positive rational was required."""
+    A refused codeword request is the subclass ``InsufficientMass``; every
+    other domain failure is an ``OmegalibError`` told apart by its message.
+    """
 
 
 class InsufficientMass(OmegalibError):
@@ -33,31 +33,3 @@ class InsufficientMass(OmegalibError):
     def __str__(self) -> str:
         where = f" (request index {self.index})" if self.index is not None else ""
         return f"no free prefix can honour a length-{self.length} request{where}"
-
-
-class TargetTooShort(OmegalibError):
-    """A prefix split was asked for a target length below the stem length."""
-
-
-class InvalidSequence(OmegalibError):
-    """A rational sequence violates strict monotonicity or its range."""
-
-
-class SequenceExhausted(InvalidSequence):
-    """Fewer terms are available than were requested."""
-
-
-class StageOutOfRange(OmegalibError):
-    """A stage index exceeds the finite enumeration it points into."""
-
-
-class LengthMismatch(OmegalibError):
-    """Two prefixes that must have equal length do not."""
-
-
-class UnderlongString(OmegalibError):
-    """A stage string is shorter than the compression margin it must fund."""
-
-
-class MeasureViolation(OmegalibError):
-    """A prefix set exceeds the measure bound its level promises."""

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import total_ordering
 from typing import Iterable, Union
 
-from .errors import NonPositiveInput
+from .errors import OmegalibError
 
 RationalLike = Union[Fraction, int, "Dyadic"]
 
@@ -145,11 +145,11 @@ def pow2_neg(n: int) -> Dyadic:
 def ceil_neg_log2(q: RationalLike) -> int:
     """Least natural ``n`` with ``2**-n <= q``; 0 exactly when ``q >= 1``.
 
-    Raises NonPositiveInput for ``q <= 0``.
+    Raises OmegalibError for ``q <= 0``.
     """
     frac = as_fraction(q)
     if frac <= 0:
-        raise NonPositiveInput(f"need a positive rational, got {frac}")
+        raise OmegalibError(f"need a positive rational, got {frac}")
     return _ceil_neg_log2(frac.numerator, frac.denominator)
 
 
@@ -204,11 +204,6 @@ class Interval:
     def contains(self, q: RationalLike) -> bool:
         q = as_fraction(q)
         return self.lo <= q < self.hi
-
-    def disjoint_from(self, other: "Interval") -> bool:
-        if self.is_empty or other.is_empty:
-            return True
-        return self.hi <= other.lo or other.hi <= self.lo
 
 
 def format_rational(q: RationalLike) -> str:

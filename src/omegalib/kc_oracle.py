@@ -45,7 +45,7 @@ def kcstep_ref(allocated: Sequence[str], free: Sequence[str],
     return inner_alloc, [head, *inner_free]
 
 
-def kcloop_ref(lengths: Sequence[str], state: tuple[Sequence[str], Sequence[str]],
+def kcloop_ref(lengths: Sequence[int], state: tuple[Sequence[str], Sequence[str]],
                ) -> tuple[list[str], list[str]]:
     """Fold ``kcstep_ref`` over the length list, back to front."""
     if not lengths:

@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 from .bits import (_BITS, MAX_TEXT_LENGTH, bit_value, format_word,
                    iter_length_lex, parse_word, prefix_free, read_lines,
                    successor, validate_bits)
-from .errors import StageOutOfRange
+from .errors import OmegalibError
 from .exact import DYADIC_ZERO, Dyadic, measure_of_lengths, pow2_neg
 
 
@@ -62,9 +62,9 @@ class MachineTable:
         return len(self.entries)
 
     def prefix(self, k: int) -> tuple[tuple[str, str], ...]:
-        """The first ``k`` entries; StageOutOfRange unless ``0 <= k <= len``."""
+        """The first ``k`` entries; OmegalibError unless ``0 <= k <= len``."""
         if not 0 <= k <= len(self.entries):
-            raise StageOutOfRange(f"stage {k} outside 0..{len(self)}")
+            raise OmegalibError(f"stage {k} outside 0..{len(self)}")
         return self.entries[:k]
 
     @property

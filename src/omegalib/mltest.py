@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 from math import isqrt
 
 from .bits import length_lex_key, prefix_free, prune_to_minimal
-from .errors import MeasureViolation, UnderlongString
+from .errors import OmegalibError
 from .exact import Dyadic, measure_of_lengths, pow2_neg
 from .machines import MachineTable
 
@@ -45,11 +45,11 @@ class PrefixSetStage:
         return measure_of_lengths(len(w) for w in self.words)
 
     def validate(self) -> None:
-        """ValueError if not prefix-free; MeasureViolation over the budget."""
+        """ValueError if not prefix-free; OmegalibError over the budget."""
         if not prefix_free(self.words):
             raise ValueError("stage words are not prefix-free")
         if self.measure() > pow2_neg(self.level):
-            raise MeasureViolation(
+            raise OmegalibError(
                 f"stage at level {self.level} carries measure "
                 f"{self.measure()} > 1/2^{self.level}")
 
@@ -84,9 +84,8 @@ def compression_requests(stages: Sequence[PrefixSetStage]) -> list[tuple[int, st
 
     Stage words at level ``n*n`` become requests ``(len(word) - n, word)``, in
     stage order and canonical word order.  Words shorter than their ``n``
-    raise UnderlongString; stages over their measure budget raise
-    MeasureViolation; roots must strictly increase from at least 2.  The
-    total requested mass is re-verified to fit one unit of code space.
+    raise OmegalibError, as do stages over their measure budget; roots must
+    strictly increase from at least 2.
     """
     requests: list[tuple[int, str]] = []
     previous_root = 1
@@ -97,13 +96,10 @@ def compression_requests(stages: Sequence[PrefixSetStage]) -> list[tuple[int, st
         previous_root = root
         for word in stage.words:
             if len(word) < root:
-                raise UnderlongString(
+                raise OmegalibError(
                     f"word {word!r} is shorter than the margin {root}")
         stage.validate()
         requests.extend((len(word) - root, word) for word in stage.words)
-    total = measure_of_lengths(n for n, _ in requests)
-    if total > 1:
-        raise MeasureViolation(f"requests carry mass {total} > 1")
     return requests
 
 

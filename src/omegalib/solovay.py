@@ -29,7 +29,7 @@ from typing import Sequence
 
 from .ce_real import RationalSeq
 from .codespace import allocate_all
-from .errors import LengthMismatch
+from .errors import OmegalibError
 from .exact import Dyadic, Interval, as_fraction
 from .machines import MachineTable, compose
 
@@ -124,7 +124,7 @@ def check_domination(a_prefix: Sequence[Fraction], b_prefix: Sequence[Fraction],
     if c < 0:
         raise ValueError("domination constants are natural numbers")
     if len(a_prefix) != len(b_prefix):
-        raise LengthMismatch(
+        raise OmegalibError(
             f"prefix lengths differ: {len(a_prefix)} vs {len(b_prefix)}")
     a_vals = [as_fraction(x) for x in a_prefix]
     b_vals = [as_fraction(x) for x in b_prefix]

@@ -7,10 +7,8 @@ import omegalib
 
 EXPORTS = [
     "AllocatorState", "Dyadic", "DominationWitness", "DyadicDecomposition",
-    "InsufficientMass", "Interval", "InvalidSequence", "InvariantReport",
-    "LengthMismatch", "MachineTable", "MeasureViolation", "NonPositiveInput",
-    "OmegalibError", "PrefixSetStage", "RationalSeq", "SequenceExhausted",
-    "StageOutOfRange", "TargetTooShort", "TestStage", "UnderlongString",
+    "InsufficientMass", "Interval", "InvariantReport", "MachineTable",
+    "OmegalibError", "PrefixSetStage", "RationalSeq", "TestStage",
     "allocate", "allocate_all", "antichain_measure", "as_fraction",
     "build_test", "ceil_neg_log2", "chaitin_transform",
     "chaitin_transform_table", "check_domination", "check_invariants",

@@ -10,7 +10,7 @@ import pytest
 from omegalib.bits import prefix_free
 from omegalib.ce_real import (DyadicDecomposition, RationalSeq,
                               dyadic_decompose, to_machine)
-from omegalib.errors import InvalidSequence, SequenceExhausted
+from omegalib.errors import OmegalibError
 from omegalib.exact import (DYADIC_ZERO, Dyadic, as_fraction, ceil_neg_log2,
                             parse_rational, pow2_neg)
 
@@ -22,18 +22,20 @@ class TestRationalSeq:
         assert seq.prefix(3) == (Fraction(1, 10), Fraction(1, 5), Fraction(1, 2))
 
     def test_rejects_non_increasing(self):
-        with pytest.raises(InvalidSequence):
+        with pytest.raises(OmegalibError, match=(
+                "^term 1/2 does not increase past 1/2$")):
             RationalSeq([Fraction(1, 2), Fraction(1, 2)]).prefix(2)
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(InvalidSequence):
+        with pytest.raises(OmegalibError, match=r"^term 0 is outside \(0, 1\)$"):
             RationalSeq([Fraction(0)]).prefix(1)
-        with pytest.raises(InvalidSequence):
+        with pytest.raises(OmegalibError, match=r"^term 1 is outside \(0, 1\)$"):
             RationalSeq([Fraction(1, 2), Fraction(1)]).prefix(2)
 
     def test_exhaustion(self):
         seq = RationalSeq([Fraction(1, 2)])
-        with pytest.raises(SequenceExhausted):
+        with pytest.raises(OmegalibError, match=(
+                "^sequence ended after 1 terms, 2 were requested$")):
             seq.prefix(2)
 
     @pytest.mark.parametrize("k", [3, sys.maxsize, sys.maxsize + 1, 10 ** 20])
@@ -43,7 +45,7 @@ class TestRationalSeq:
         # refused like any other that the terms cannot fill.
         seq = RationalSeq(iter([Fraction(1, 4), Fraction(1, 2)]))
         seq.prefix(cached)
-        with pytest.raises(SequenceExhausted, match=(
+        with pytest.raises(OmegalibError, match=(
                 f"^sequence ended after 2 terms, {k} were requested$")):
             seq.prefix(k)
         assert seq.prefix(2) == (Fraction(1, 4), Fraction(1, 2))
@@ -100,9 +102,9 @@ class TestDecompose:
         class Stub:                 # a sequence that skipped validation
             def prefix(self, k):
                 return (Fraction(1, 2), Fraction(1, 2))
-        with pytest.raises(InvalidSequence) as new:
+        with pytest.raises(OmegalibError) as new:
             dyadic_decompose(Stub(), 2)
-        with pytest.raises(InvalidSequence) as old:
+        with pytest.raises(OmegalibError) as old:
             dyadic_decompose_fraction(Stub(), 2)
         assert str(new.value) == str(old.value) == (
             "term 1/2 does not clear the partial sum 1/2^1")
@@ -131,7 +133,8 @@ class TestToMachine:
 
 
 # --- The Fraction implementations the integer ones replaced, kept literally
-# as differential references.
+# as differential references; each raises OmegalibError where it raised one
+# of the error classes that were folded into it.
 
 class FractionRationalSeq:
     """``RationalSeq`` as it was, comparing terms as Fractions."""
@@ -141,21 +144,21 @@ class FractionRationalSeq:
         self._cache: list[Fraction] = []
 
     def prefix(self, k: int) -> tuple[Fraction, ...]:
-        """The first ``k`` terms; SequenceExhausted if fewer are available."""
+        """The first ``k`` terms; OmegalibError if fewer are available."""
         if k < 0:
             raise ValueError("prefix length must be a natural number")
         while len(self._cache) < k:
             try:
                 raw = next(self._iter)
             except StopIteration:
-                raise SequenceExhausted(
+                raise OmegalibError(
                     f"sequence ended after {len(self._cache)} terms, "
                     f"{k} were requested") from None
             term = as_fraction(raw)
             if not 0 < term < 1:
-                raise InvalidSequence(f"term {term} is outside (0, 1)")
+                raise OmegalibError(f"term {term} is outside (0, 1)")
             if self._cache and term <= self._cache[-1]:
-                raise InvalidSequence(
+                raise OmegalibError(
                     f"term {term} does not increase past {self._cache[-1]}")
             self._cache.append(term)
         return tuple(self._cache[:k])
@@ -170,24 +173,24 @@ class PropertyRationalSeq:
         self._cache: list[Fraction] = []
 
     def prefix(self, k: int) -> tuple[Fraction, ...]:
-        """The first ``k`` terms; SequenceExhausted if fewer are available."""
+        """The first ``k`` terms; OmegalibError if fewer are available."""
         if k < 0:
             raise ValueError("prefix length must be a natural number")
         while len(self._cache) < k:
             try:
                 raw = next(self._iter)
             except StopIteration:
-                raise SequenceExhausted(
+                raise OmegalibError(
                     f"sequence ended after {len(self._cache)} terms, "
                     f"{k} were requested") from None
             term = as_fraction(raw)
             p, q = term.numerator, term.denominator
             if not 0 < p < q:
-                raise InvalidSequence(f"term {term} is outside (0, 1)")
+                raise OmegalibError(f"term {term} is outside (0, 1)")
             if self._cache:
                 last = self._cache[-1]
                 if p * last.denominator <= last.numerator * q:
-                    raise InvalidSequence(
+                    raise OmegalibError(
                         f"term {term} does not increase past {last}")
             self._cache.append(term)
         return tuple(self._cache[:k])
@@ -219,7 +222,7 @@ def dyadic_decompose_fraction(seq, k: int) -> DyadicDecomposition:
     for a in terms:
         gap = a - r.as_fraction()
         if gap <= 0:
-            raise InvalidSequence(f"term {a} does not clear the partial sum {r}")
+            raise OmegalibError(f"term {a} does not clear the partial sum {r}")
         n = ceil_neg_log2(gap)
         r = r + pow2_neg(n)
         lengths.append(n)
@@ -263,7 +266,7 @@ class TestFractionDifferential:
             new = outcome(dyadic_decompose, RationalSeq(terms), k)
             old = outcome(dyadic_decompose_fraction, FractionRationalSeq(terms), k)
             assert new == old
-        assert new[0] is InvalidSequence
+        assert new[0] is OmegalibError
 
     def test_random_corruptions_fail_alike(self, differential_families, outcome):
         rng = random.Random(7)
@@ -303,6 +306,8 @@ class TestPrefixDifferential:
     """``prefix`` gives the old class's terms, or its exception's type and
     message, call after call, also resuming after an error."""
 
+    KINDS = ("is outside (0, 1)", "does not increase past", "sequence ended after")
+
     @staticmethod
     def calls(outcome, terms, ks, lazy):
         results = []
@@ -338,8 +343,11 @@ class TestPrefixDifferential:
             ks = [len(bent)] * 4 + [rng.randint(0, len(bent)) for _ in range(3)]
             new, old = self.calls(outcome, bent, ks, lazy=True)
             assert new == old
-            seen.update(r[0] for r in new if r and isinstance(r[0], type))
-        assert seen == {InvalidSequence, SequenceExhausted, TypeError}
+            for r in new:
+                if r and isinstance(r[0], type):
+                    kind = next((k for k in self.KINDS if k in r[1]), None)
+                    seen.add((r[0], kind))
+        assert seen == {(OmegalibError, k) for k in self.KINDS} | {(TypeError, None)}
 
     @pytest.mark.parametrize("k", [-1, -5])
     def test_negative_length(self, k, outcome):

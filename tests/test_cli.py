@@ -253,6 +253,30 @@ class TestDominate:
         assert err.startswith("error:")
 
 
+class TestDomainFailures:
+    """A bad or short sequence file, and prefixes of unequal length, exit 3
+    with an empty stdout and the message on stderr, byte for byte.  (The
+    stage bound is pinned the same way in ``test_machines``.)"""
+
+    FILES = {"a.txt": "1/4\n1/2\n3/4\n", "b.txt": "1/8\n1/4\n",
+             "down.txt": "1/2\n1/4\n3/4\n", "out.txt": "1/4\n3/2\n"}
+
+    @pytest.mark.parametrize("argv, message", [
+        (["decompose", "a.txt", "--k", "5"],
+         "sequence ended after 3 terms, 5 were requested"),
+        (["decompose", "down.txt", "--k", "3"],
+         "term 1/4 does not increase past 1/2"),
+        (["decompose", "out.txt", "--k", "2"], "term 3/2 is outside (0, 1)"),
+        (["dominate", "a.txt", "b.txt", "--c", "1"],
+         "prefix lengths differ: 3 vs 2"),
+    ], ids=["exhausted", "non-increasing", "outside", "length mismatch"])
+    def test_exit_3_and_exact_message(self, tmp_path, capsys, argv, message):
+        for name, text in self.FILES.items():
+            write(tmp_path, name, text)
+        argv = [str(tmp_path / x) if x in self.FILES else x for x in argv]
+        assert run(capsys, argv) == (3, "", f"error: {message}\n")
+
+
 class TestIntervalTest:
     def test_stage_dump(self, tmp_path, capsys):
         a = write(tmp_path, "a.txt", "1/4\n9/32\n1/2\n")

@@ -17,7 +17,7 @@ from omegalib.bits import (MAX_LENGTH_DIGITS, MAX_TEXT_LENGTH, format_word,
 from omegalib.codespace import (AllocatorState, InvariantReport, allocate, allocate_all,
                                 check_invariants, extend_prefix,
                                 new_allocator, parse_request_lines)
-from omegalib.errors import InsufficientMass, TargetTooShort
+from omegalib.errors import InsufficientMass, OmegalibError
 from omegalib.exact import Dyadic, measure_of_lengths, pow2_neg
 from omegalib.verify import enumerate_kraft_multisets, random_kraft_lengths, random_word
 
@@ -33,7 +33,8 @@ class TestExtendPrefix:
         assert extend_prefix("", 2) == ["00", "01", "1"]
 
     def test_target_too_short(self):
-        with pytest.raises(TargetTooShort):
+        with pytest.raises(OmegalibError, match=(
+                "^target length 2 is below the stem length 3$")):
             extend_prefix("001", 2)
 
     def test_non_str_stem_refused(self):
@@ -636,14 +637,15 @@ class TestAllocateAllDifferential:
 
 # ---------------------------------------------------------------------------
 # Differential check against the linear-scan allocator that the binary-search
-# version replaced.  The two functions below are kept literally as they were.
+# version replaced.  The two functions below are kept literally as they were,
+# but for the error class they raise, now OmegalibError.
 # ---------------------------------------------------------------------------
 
 def reference_extend_prefix(stem: str, target: int) -> list[str]:
     validate_bits(stem)
     depth = target - len(stem)
     if depth < 0:
-        raise TargetTooShort(
+        raise OmegalibError(
             f"target length {target} is below the stem length {len(stem)}")
     return [stem + "0" * depth] + [stem + "0" * j + "1"
                                    for j in range(depth - 1, -1, -1)]
@@ -842,7 +844,8 @@ class TestDifferentialAgainstLinearScan:
             raise AssertionError("extend_prefix built a state")
 
         monkeypatch.setattr(codespace, "AllocatorState", no_state)
-        with pytest.raises(TargetTooShort):
+        with pytest.raises(OmegalibError, match=(
+                "^target length 2 is below the stem length 3$")):
             extend_prefix("001", 2)
         with pytest.raises(TypeError, match="a binary word is a str"):
             extend_prefix(("0", "1"), 4)
@@ -851,9 +854,11 @@ class TestDifferentialAgainstLinearScan:
 
     @pytest.mark.parametrize("stem, target", [("", -1), ("01", 1), ("0110", 0)])
     def test_target_too_short_on_both(self, stem, target):
-        with pytest.raises(TargetTooShort):
+        message = (f"^target length {target} is below the stem length "
+                   f"{len(stem)}$")
+        with pytest.raises(OmegalibError, match=message):
             reference_extend_prefix(stem, target)
-        with pytest.raises(TargetTooShort):
+        with pytest.raises(OmegalibError, match=message):
             extend_prefix(stem, target)
 
     @pytest.mark.parametrize("stem", ["2", "01a", " 0", "0 1"])

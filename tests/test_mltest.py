@@ -6,8 +6,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from omegalib.codespace import allocate_all
-from omegalib.errors import (MeasureViolation, StageOutOfRange,
-                             UnderlongString)
+from omegalib.errors import OmegalibError
 from omegalib.exact import Dyadic, measure_of_lengths, pow2_neg
 from omegalib.machines import MachineTable, complexity
 from omegalib.mltest import (PrefixSetStage, antichain_measure,
@@ -39,7 +38,8 @@ class TestPrefixSetStage:
             PrefixSetStage(3, ("0", "01")).validate()
 
     def test_validate_rejects_excess_measure(self):
-        with pytest.raises(MeasureViolation):
+        with pytest.raises(OmegalibError, match=(
+                r"^stage at level 2 carries measure 1/2\^1 > 1/2\^2$")):
             PrefixSetStage(2, ("00", "01")).validate()
 
 
@@ -76,7 +76,7 @@ class TestComplexityTestStage:
 
     def test_stage_out_of_range(self):
         u = MachineTable((("0", "1111"),))
-        with pytest.raises(StageOutOfRange):
+        with pytest.raises(OmegalibError, match="^stage 2 outside 0..1$"):
             complexity_test_stage(u, margin=1, k=2)
 
     @given(lengths=st.lists(st.integers(1, 8), max_size=8),
@@ -129,12 +129,14 @@ class TestCompressionRequests:
         # measure of {"1"} is 1/2, far over the 1/16 budget, but the word is
         # too short to shorten and that complaint comes first
         stage = PrefixSetStage(4, ("1",))
-        with pytest.raises(UnderlongString):
+        with pytest.raises(OmegalibError, match=(
+                "^word '1' is shorter than the margin 2$")):
             compression_requests([stage])
 
     def test_overfull_stage_rejected(self):
         stage = PrefixSetStage(4, ("00", "01", "10", "11"))
-        with pytest.raises(MeasureViolation):
+        with pytest.raises(OmegalibError, match=(
+                r"^stage at level 4 carries measure 1/2\^0 > 1/2\^4$")):
             compression_requests([stage])
 
     def test_empty_family(self):
@@ -164,7 +166,7 @@ class TestStageMembership:
 def complexity_test_stage_per_output(table, margin, k):
     """``complexity_test_stage`` as first written: one ``complexity`` per output."""
     if not 0 <= k <= len(table):
-        raise StageOutOfRange(f"stage {k} outside 0..{len(table)}")
+        raise OmegalibError(f"stage {k} outside 0..{len(table)}")
     outputs = {y for _, y in table.entries[:k]}
     qualifying = set()
     for y in outputs:
