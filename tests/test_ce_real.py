@@ -133,8 +133,8 @@ class TestToMachine:
 
 
 # --- The Fraction implementations the integer ones replaced, kept literally
-# as differential references; each raises OmegalibError where it raised one
-# of the error classes that were folded into it.
+# as differential references, but for the error class they raise, now
+# OmegalibError.
 
 class FractionRationalSeq:
     """``RationalSeq`` as it was, comparing terms as Fractions."""
